@@ -1,4 +1,4 @@
-"""Lexer and recursive-descent parser for the ASCII formula grammar.
+"""Regular-expression lexer and backtrack-free parser for the ASCII formula grammar.
 
 ::
 
@@ -19,13 +19,21 @@
 
 Graded truth constants other than ``#0`` and ``#1`` are only accepted
 when the logic has rational constants in its language (base RPL).
+
+One compiled regular expression, symbols longest first, lexes the text
+into a flat list of token texts.  The parser never backtracks: an
+``IDENT`` not followed by ``.``, ``+`` or ``:`` is a proposition; else,
+and at each ``(``, a term scan that records which groups are terms
+tells whether a ``:`` follows.  Explicit stacks replace recursion; input
+nested deeper than ``MAX_DEPTH`` is a ``ParseError``.  Nodes come from a
+table keyed by class and child identities, so equal subformulas are one
+object; ``parse_derivation`` and ``parse_cs`` share one table per file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
-from typing import Optional
 
 from .syntax import (
     App, BiImpl, Equiv, Formula, GradedAtLeast, GradedAtMost, GradedExact,
@@ -55,228 +63,219 @@ class ConstantNotAllowedError(ParseError):
     """A graded truth constant in a logic without rational constants."""
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    pos: int
+_SYMBOL = r"\{>=|\{<=|\{==|<->|->|/\\|\\/|==|[#&~:().+/}]"
+#: A symbol, a run of the decimal digits ``int`` reads, or a word.
+_TOKEN = re.compile(_SYMBOL + r"|\d+|\w+")
+_LEXED = re.compile(rf"(?:\s+|{_SYMBOL}|\d+|\w+)*")
+EOF = ""
+
+#: Precedence, loosest first, and class of each binary connective.
+_BINARY = {"==": (1, Equiv), "<->": (1, BiImpl), "->": (2, Implies),
+           "\\/": (3, WeakDisj), "/\\": (4, WeakConj), "&": (5, StrongConj)}
+_GRADES = {"{>=": GradedAtLeast, "{<=": GradedAtMost, "{==": GradedExact}
+
+#: Nesting bound in grammar levels: seven for a parenthesised formula, three
+#: for a parenthesised term or a ``t:``, one for ``~`` or a right operand of
+#: ``->`` -- the frames the recursive parser this one replaced spent, so all
+#: it parsed within the default recursion limit still parses.
+MAX_DEPTH = 1000
+_TOO_DEEP = "nested too deeply"
+
+# Formula stack frames: (_BOTTOM, 0), (_GROUP, levels),
+# (_PREFIX, levels, key, class, args) and (_BIN, levels, precedence, class, left).
+_BOTTOM, _GROUP, _PREFIX, _BIN = range(4)
 
 
-_SYMBOLS = (
-    "{>=", "{<=", "{==", "<->", "->", "/\\", "\\/", "==",
-    "#", "&", "~", ":", "(", ")", ".", "+", "/", "}",
-)
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token(sym, sym, i))
-                i += len(sym)
+def tokenize(text: str) -> list[str]:
+    """The token texts of ``text``, then ``EOF``.  A word starts with a
+    letter or ``_`` and goes on with letters, digits and ``_``."""
+    end = _LEXED.match(text).end()
+    if not text.isascii():
+        # \w holds digits int() rejects, such as '²'; none may start a token.
+        for m in _TOKEN.finditer(text, 0, end):
+            c = text[m.start()]
+            if c.isalnum() and not (c.isalpha() or c.isdecimal()):
+                end = m.start()
                 break
-        else:
-            if ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                tokens.append(Token("INT", text[i:j], i))
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                tokens.append(Token("IDENT", text[i:j], i))
-                i = j
-            else:
-                raise LexicalError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("EOF", "", n))
+    if end < len(text):
+        raise LexicalError(f"unexpected character {text[end]!r}", end)
+    tokens = _TOKEN.findall(text)
+    tokens.append(EOF)
     return tokens
 
 
+def _is_ident(tok: str) -> bool:
+    return tok[:1].isalpha() or tok[:1] == "_"
+
+
 class _Parser:
-    def __init__(self, text: str, config=None):
-        self.tokens = tokenize(text)
-        self.i = 0
-        self.config = config
+    def __init__(self, text: str, config, shared):
+        self.text, self.config, self.tokens = text, config, tokenize(text)
+        self.shared = {} if shared is None else shared
+        #: "(" index -> (its term, index after the term), or (None, "(" index).
+        self.groups: dict = {}
 
-    # -- token plumbing ----------------------------------------------------
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+    def error(self, message: str, i: int, cls=ParseError) -> ParseError:
+        """``cls`` at the position of token ``i``."""
+        positions = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
+        return cls(message, positions[i])
 
-    def next(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def expected(self, what: str, i: int) -> ParseError:
+        return self.error(f"expected {what}, found {self.tokens[i] or 'end of input'!r}", i)
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos)
-        return self.next()
+    def share(self, key: tuple, cls, *args):
+        """The node ``cls(*args)``, filed in the table under ``key``."""
+        node = self.shared.get(key)
+        if node is None:
+            node = self.shared[key] = cls(*args)
+        return node
 
-    # -- rationals ---------------------------------------------------------
-    def rational(self) -> Fraction:
-        num = self.expect("INT")
-        if self.peek().kind == "/":
-            self.next()
-            den = self.expect("INT")
-            if int(den.text) == 0:
-                raise ParseError("zero denominator", den.pos)
-            return Fraction(int(num.text), int(den.text))
-        return Fraction(int(num.text))
+    def constant(self, i: int) -> tuple[Fraction, int]:
+        """The truth constant at token ``i`` and the index after it.  Each
+        spelling is read once per table."""
+        tokens = self.tokens
+        after = i + 3 if tokens[i + 1:i + 2] == ["/"] else i + 1
+        for k in range(i, after, 2):
+            if not tokens[k][:1].isdecimal():
+                raise self.expected("'INT'", k)
+        key = ("#",) + tuple(tokens[i:after])
+        known = self.shared.get(key)
+        if known is None:
+            den = int(tokens[after - 1]) if after > i + 1 else 1
+            if den == 0:
+                raise self.error("zero denominator", after - 1)
+            value = Fraction(int(tokens[i]), den)
+            if value > 1:
+                raise self.error(f"truth constant {value} outside [0, 1]", i, ConstantRangeError)
+            known = self.shared[key] = (value, value != 0 and value != 1)
+        value, graded = known
+        if graded and self.config is not None and not self.config.has_truth_constants:
+            raise self.error(f"graded truth constant #{value} needs rational constants "
+                             "in the language", i, ConstantNotAllowedError)
+        return value, after
 
-    def constant(self, value: Fraction, pos: int) -> Fraction:
-        if value < 0 or value > 1:
-            raise ConstantRangeError(f"truth constant {value} outside [0, 1]", pos)
-        if value not in (Fraction(0), Fraction(1)):
-            if self.config is not None and not self.config.has_truth_constants:
-                raise ConstantNotAllowedError(
-                    f"graded truth constant #{value} needs rational constants in the language", pos)
-        return value
+    def term(self, i: int, depth: int):
+        """The term at token ``i`` and the index after it, or None and the
+        error and index where the scan stopped."""
+        tokens, groups, share = self.tokens, self.groups, self.share
+        stack, operand = [], True   # "(" indices of open groups, (precedence, class, left)
+        while True:
+            tok = tokens[i]
+            if operand:
+                if tok == "(" and i not in groups:
+                    depth += 3
+                    if depth > MAX_DEPTH:
+                        error = _TOO_DEEP
+                        break
+                    stack.append(i)
+                    i += 1
+                    continue
+                t, i = (groups[i] if tok == "(" else (None, i) if not _is_ident(tok)
+                        else (share((term_atom, tok), term_atom, tok), i + 1))
+                if t is None:
+                    error = "a term"
+                    break
+                operand = False
+                continue
+            prec = 2 if tok == "." else 1 if tok == "+" else 0
+            while stack and stack[-1].__class__ is tuple and stack[-1][0] >= prec:
+                _, cls, left = stack.pop()
+                t = share((cls, id(left), id(t)), cls, left, t)
+            if prec:
+                stack.append((prec, App if prec == 2 else Sum, t))
+                operand = True
+            elif not stack:
+                return t, i
+            elif tok == ")":
+                groups[stack.pop()] = (t, i + 1)
+                depth -= 3
+            else:
+                error = "')'"
+                break
+            i += 1
+        groups.update((g, (None, g)) for g in stack if g.__class__ is int)
+        return None, (error, i)
 
-    # -- terms ---------------------------------------------------------------
-    def term(self) -> Term:
-        left = self.app_term()
-        while self.peek().kind == "+":
-            self.next()
-            left = Sum(left, self.app_term())
-        return left
-
-    def app_term(self) -> Term:
-        left = self.term_atom()
-        while self.peek().kind == ".":
-            self.next()
-            left = App(left, self.term_atom())
-        return left
-
-    def term_atom(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "IDENT":
-            self.next()
-            return term_atom(tok.text)
-        if tok.kind == "(":
-            self.next()
-            t = self.term()
-            self.expect(")")
-            return t
-        raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}", tok.pos)
-
-    # -- formulas ------------------------------------------------------------
     def formula(self) -> Formula:
-        left = self.implication()
-        tok = self.peek()
-        if tok.kind in ("==", "<->"):
-            self.next()
-            right = self.implication()
-            return Equiv(left, right) if tok.kind == "==" else BiImpl(left, right)
-        return left
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek().kind == "->":
-            self.next()
-            return Implies(left, self.implication())
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.peek().kind == "\\/":
-            self.next()
-            left = WeakDisj(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.strong()
-        while self.peek().kind == "/\\":
-            self.next()
-            left = WeakConj(left, self.strong())
-        return left
-
-    def strong(self) -> Formula:
-        left = self.unary()
-        while self.peek().kind == "&":
-            self.next()
-            left = StrongConj(left, self.unary())
-        return left
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.next()
-            return Neg(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "#":
-            self.next()
-            pos = self.peek().pos
-            value = self.rational()
-            return TruthConst(self.constant(value, pos))
-        if tok.kind in ("IDENT", "("):
-            term = self.try_justification_term()
-            if term is not None:
-                self.expect(":")
-                return self.justification(term)
-            if tok.kind == "(":
-                self.next()
-                f = self.formula()
-                self.expect(")")
-                return f
-            self.next()
-            return Prop(tok.text)
-        raise ParseError(f"expected a formula, found {tok.text or 'end of input'!r}", tok.pos)
-
-    def try_justification_term(self) -> Optional[Term]:
-        """Parse a term only if it is followed by ':' (else rewind)."""
-        saved = self.i
-        try:
-            t = self.term()
-        except ParseError:
-            self.i = saved
-            return None
-        if self.peek().kind == ":":
-            return t
-        self.i = saved
-        return None
-
-    def justification(self, term: Term) -> Formula:
-        tok = self.peek()
-        if tok.kind in ("{>=", "{<=", "{=="):
-            self.next()
-            pos = self.peek().pos
-            grade = self.constant(self.rational(), pos)
-            self.expect("}")
-            body = self.unary()
-            if tok.kind == "{>=":
-                return GradedAtLeast(grade, term, body)
-            if tok.kind == "{<=":
-                return GradedAtMost(grade, term, body)
-            return GradedExact(grade, term, body)
-        return Justified(term, self.unary())
+        """The formula that makes up the whole input."""
+        tokens, share = self.tokens, self.share
+        stack, depth, frame, i = [(_BOTTOM, 0)], 0, None, 0
+        while True:
+            if frame is not None:   # opened by token i
+                depth += frame[1]
+                if depth > MAX_DEPTH:
+                    raise self.error(_TOO_DEEP, i)
+                stack.append(frame)
+                i += 1
+            tok, frame = tokens[i], None
+            if tok == "~":
+                frame = (_PREFIX, 1, (Neg,), Neg, ())
+                continue
+            if tok == "#":
+                value, i = self.constant(i + 1)
+                f = share((TruthConst, id(value)), TruthConst, value)
+            elif tok == "(" or _is_ident(tok):
+                if tok == "(" or tokens[i + 1] == "." or tokens[i + 1] == "+":
+                    term, after = self.term(i, depth)
+                else:
+                    term, after = tok, i + 1
+                if term is not None and tokens[after] == ":":
+                    if term is tok:
+                        term = share((term_atom, tok), term_atom, tok)
+                    cls, i = _GRADES.get(tokens[after + 1], Justified), after
+                    if cls is Justified:
+                        frame = (_PREFIX, 3, (cls, id(term)), cls, (term,))
+                    else:
+                        grade, i = self.constant(after + 2)
+                        if tokens[i] != "}":
+                            raise self.expected("'}'", i)
+                        frame = (_PREFIX, 3, (cls, id(grade), id(term)), cls, (grade, term))
+                    continue
+                if tok == "(":
+                    frame = (_GROUP, 7)
+                    continue
+                f, i = share((Prop, tok), Prop, tok), i + 1
+            else:
+                raise self.expected("a formula", i)
+            # ``f`` is complete: apply prefixes, take a connective or close a group.
+            while frame is None:
+                while stack[-1][0] == _PREFIX:
+                    _, levels, key, cls, args = stack.pop()
+                    f, depth = share(key + (id(f),), cls, *args, f), depth - levels
+                op = _BINARY.get(tokens[i])
+                prec = op[0] if op else 0
+                # Tighter connectives close first; '->' is right-associative.
+                while stack[-1][0] == _BIN and (stack[-1][2] > prec or stack[-1][2] == prec != 2):
+                    if stack[-1][2] == prec == 1:
+                        op, prec = None, 0      # '==' and '<->' do not chain
+                    _, levels, _, cls, left = stack.pop()
+                    f, depth = share((cls, id(left), id(f)), cls, left, f), depth - levels
+                if op is not None:
+                    frame = (_BIN, int(prec == 2), prec, op[1], f)
+                    continue
+                kind, levels = stack.pop()
+                if kind == _BOTTOM:
+                    if tokens[i] != EOF:
+                        raise self.error(f"unexpected trailing input {tokens[i]!r}", i)
+                    return f
+                if tokens[i] != ")":
+                    raise self.expected("')'", i)
+                depth -= levels
+                i += 1
 
 
-def parse_formula(text: str, config=None) -> Formula:
-    """Parse ``text``; ``config`` gates graded truth constants (None allows them)."""
-    p = _Parser(text, config)
-    f = p.formula()
-    tok = p.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
-    return f
+def parse_formula(text: str, config=None, *, shared=None) -> Formula:
+    """Parse ``text``; ``config`` gates graded truth constants (None allows
+    them).  Nodes are taken from and added to the table ``shared`` if given."""
+    return _Parser(text, config, shared).formula()
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(text)
-    t = p.term()
-    tok = p.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+    p = _Parser(text, None, None)
+    t, i = p.term(0, 0)
+    if t is None:
+        error, i = i
+        raise p.error(error, i) if error is _TOO_DEEP else p.expected(error, i)
+    if p.tokens[i] != EOF:
+        raise p.error(f"unexpected trailing input {p.tokens[i]!r}", i)
     return t

@@ -943,8 +943,10 @@ def format_derivation(d: Derivation) -> str:
 
 
 def parse_derivation(text: str, config: Optional[LogicConfig] = None) -> Derivation:
+    """Equal subformulas anywhere in the file are parsed to one object."""
     hypotheses: list = []
     steps: list = []
+    shared: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -952,7 +954,7 @@ def parse_derivation(text: str, config: Optional[LogicConfig] = None) -> Derivat
         if line.startswith("HYP "):
             if steps:
                 raise ProofError(f"line {lineno}: hypotheses must precede steps")
-            hypotheses.append(parse_formula(line[4:].strip(), config))
+            hypotheses.append(parse_formula(line[4:].strip(), config, shared=shared))
             continue
         if not line.startswith("STEP "):
             raise ProofError(f"line {lineno}: expected HYP or STEP")
@@ -965,7 +967,7 @@ def parse_derivation(text: str, config: Optional[LogicConfig] = None) -> Derivat
             raise ProofError(f"line {lineno}: malformed STEP line") from None
         if number != len(steps) + 1:
             raise ProofError(f"line {lineno}: expected step number {len(steps) + 1}")
-        formula = parse_formula(formula_text.strip(), config)
+        formula = parse_formula(formula_text.strip(), config, shared=shared)
         words = by.split()
         if not words or words[0] not in _RULE_WORDS:
             raise ProofError(f"line {lineno}: unknown rule {by!r}")
@@ -988,10 +990,12 @@ def parse_derivation(text: str, config: Optional[LogicConfig] = None) -> Derivat
 
 
 def parse_cs(text: str, config: Optional[LogicConfig] = None) -> FiniteCS:
-    """One entry formula per line; blank lines and # comments ignored."""
+    """One entry formula per line; blank lines and # comments ignored.
+    Equal subformulas anywhere in the file are parsed to one object."""
     entries = []
+    shared: dict = {}
     for raw in text.splitlines():
         line = raw.strip()
         if line and not line.startswith("#"):
-            entries.append(parse_formula(line, config))
+            entries.append(parse_formula(line, config, shared=shared))
     return FiniteCS(entries)

@@ -459,15 +459,6 @@ def justified_pairs(f: Formula) -> set:
     return out
 
 
-def formula_terms(f: Formula) -> set:
-    """Every term occurring in ``f``, closed under subterms."""
-    out = set()
-    for g in subformulas(f):
-        if isinstance(g, (Justified,) + _GRADED):
-            out.update(subterms(g.term))
-    return out
-
-
 def formula_props(f: Formula) -> set:
     return {g.name for g in subformulas(f) if isinstance(g, Prop)}
 

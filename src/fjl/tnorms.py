@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .syntax import ONE, ZERO, as_unit
+from .syntax import ONE, ZERO
 
 
 class TNormKind(Enum):
@@ -100,8 +100,3 @@ def check_adjunction(kind: TNormKind, denominator_bound: int) -> AdjunctionRepor
                 if (tnorm_apply(kind, x, z) <= y) != (z <= r):
                     report.violations.append((x, y, z))
     return report
-
-
-def coerce_value(value) -> Fraction:
-    """Shared helper for model loading: exact unit-interval Fraction."""
-    return as_unit(value)

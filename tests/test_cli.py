@@ -133,3 +133,8 @@ def test_seed_env_override(monkeypatch, capsys):
     monkeypatch.setenv("FJL_SEED", "123")
     assert main(["suite", "conservativity", "--seeds", "5"]) == 0
     capsys.readouterr()
+
+
+def test_parse_deep_input_is_an_error_not_a_traceback(capsys):
+    assert main(["parse", "~" * 3000 + "p"]) == 2
+    assert "nested too deeply" in capsys.readouterr().err

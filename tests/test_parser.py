@@ -110,3 +110,45 @@ def test_zero_denominator_rejected():
 def test_printer_output_reparses_with_config():
     f = parse_formula("x1+x2:{<=3/4}(p -> ~q)", RPL)
     assert parse_formula(print_formula(f), RPL) == f
+
+
+def test_non_decimal_digit_is_lexical_error():
+    # '²' is a digit to str.isdigit but not to int()
+    with pytest.raises(LexicalError) as err:
+        parse_formula("#²")
+    assert err.value.position == 1
+    with pytest.raises(LexicalError) as err:
+        parse_formula("#1² -> p")
+    assert err.value.position == 2
+    assert parse_formula("p² -> p") == Implies(Prop("p²"), Prop("p"))
+
+
+@pytest.mark.parametrize("parse, text, position", [
+    (parse_formula, "(" * 150 + "p" + ")" * 150, 142),
+    (parse_formula, "~" * 3000 + "p", 1000),
+    (parse_formula, "p -> " * 3000 + "p", 5002),
+    (parse_formula, "t:" * 400 + "p", 667),
+    (parse_term, "(" * 400 + "t" + ")" * 400, 333),
+], ids=["parentheses", "negations", "implications", "justifications", "term-parentheses"])
+def test_deep_nesting_is_parse_error(parse, text, position):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.message == "nested too deeply"
+    assert err.value.position == position
+
+
+def test_nesting_accepted_below_the_bound():
+    assert parse_formula("(" * 140 + "p" + ")" * 140) == Prop("p")
+    f = parse_formula("~" * 990 + "p")
+    for _ in range(990):
+        f = f.body
+    assert f == Prop("p")
+    assert parse_term("(" * 300 + "t" + ")" * 300) == Var("t")
+
+
+def test_equal_subformulas_are_one_object():
+    f = parse_formula("(s.t:p -> q) & (s.t:p -> q)")
+    assert f.left is f.right
+    table: dict = {}
+    g = parse_formula("s.t:p", shared=table)
+    assert parse_formula("r -> s.t:p", shared=table).right is g

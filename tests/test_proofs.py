@@ -266,6 +266,20 @@ def test_derivation_file_roundtrip():
     assert format_derivation(back) == text
 
 
+def test_parsed_files_share_equal_subformulas():
+    d = build_gmp(parse_formula("#3/4 -> (p -> q)"), parse_formula("#1/2 -> p"))
+    back = parse_derivation(format_derivation(d), RPLJ)
+    mp_steps = [s for s in back.steps if isinstance(s.rule, MP)]
+    assert mp_steps
+    for step in mp_steps:
+        assert step.formula is back.steps[step.rule.implication].formula.right
+        assert back.steps[step.rule.antecedent].formula is \
+            back.steps[step.rule.implication].formula.left
+    cs = parse_cs("c1:((p & q) -> p)\nc2:c1:((p & q) -> p)\n", BLJ)
+    first, second = cs.entries
+    assert second.body is first
+
+
 def test_derivation_file_errors():
     with pytest.raises(ProofError):
         parse_derivation("STEP 2 p BY AX BL2\n")

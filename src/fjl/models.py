@@ -106,12 +106,6 @@ class MkrtychevModel:
         object.__setattr__(self, "default_evidence", as_unit(self.default_evidence))
         object.__setattr__(self, "default_valuation", as_unit(self.default_valuation))
 
-    def value(self, prop: str) -> Fraction:
-        return self.valuation.get(prop, self.default_valuation)
-
-    def evidence_value(self, term: Term, body: Formula) -> Fraction:
-        return self.evidence.get((term, body), self.default_evidence)
-
 
 # ---------------------------------------------------------------------------
 # Evaluation
@@ -151,22 +145,22 @@ def eval_box(model: FittingModel, world: str, f: Formula) -> Fraction:
     return _box(model, world, expand_sugar(f))
 
 
+_POINT = "w0"
+
+
+def _point_view(model: MkrtychevModel) -> FittingModel:
+    """The one-world, no-successor Fitting model of a Mkrtychev model.  With
+    no successor the box is 1 and t(e, 1) = e, so ``t:A`` takes its evidence."""
+    return FittingModel(
+        worlds=(_POINT,), access=frozenset(), tnorm=model.tnorm,
+        valuation={(_POINT, p): v for p, v in model.valuation.items()},
+        evidence={(_POINT, t, a): v for (t, a), v in model.evidence.items()},
+        default_evidence=model.default_evidence,
+        default_valuation=model.default_valuation)
+
+
 def eval_mkrtychev(model: MkrtychevModel, f: Formula) -> Fraction:
-    return _eval_m(model, expand_sugar(f))
-
-
-def _eval_m(m: MkrtychevModel, f: Formula) -> Fraction:
-    if isinstance(f, TruthConst):
-        return f.value
-    if isinstance(f, Prop):
-        return m.value(f.name)
-    if isinstance(f, Implies):
-        return residuum_apply(m.tnorm, _eval_m(m, f.left), _eval_m(m, f.right))
-    if isinstance(f, StrongConj):
-        return tnorm_apply(m.tnorm, _eval_m(m, f.left), _eval_m(m, f.right))
-    if isinstance(f, Justified):
-        return m.evidence_value(f.term, f.body)
-    raise ModelError(f"cannot evaluate {f!r}")
+    return _eval(_point_view(model), _POINT, expand_sugar(f))
 
 
 def is_valid_in_model(model: FittingModel, f: Formula) -> bool:
@@ -348,15 +342,8 @@ def validate_model(model: FittingModel, config: LogicConfig, cs,
 def validate_mkrtychev(model: MkrtychevModel, config: LogicConfig, cs,
                        relevant: Iterable[Formula] = ()) -> ModelReport:
     """Single-point models obey the same admissibility conditions; the
-    check reuses the Fitting validator over a one-world, no-successor view."""
-    world = "w0"
-    view = FittingModel(
-        worlds=(world,), access=frozenset(), tnorm=model.tnorm,
-        valuation={(world, p): v for p, v in model.valuation.items()},
-        evidence={(world, t, a): v for (t, a), v in model.evidence.items()},
-        default_evidence=model.default_evidence,
-        default_valuation=model.default_valuation)
-    return validate_model(view, config, cs, relevant)
+    check reuses the Fitting validator over the one-world, no-successor view."""
+    return validate_model(_point_view(model), config, cs, relevant)
 
 
 # ---------------------------------------------------------------------------

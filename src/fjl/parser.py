@@ -25,9 +25,9 @@ into a flat list of token texts.  The parser never backtracks: an
 ``IDENT`` not followed by ``.``, ``+`` or ``:`` is a proposition; else,
 and at each ``(``, a term scan that records which groups are terms
 tells whether a ``:`` follows.  Explicit stacks replace recursion; input
-nested deeper than ``MAX_DEPTH`` is a ``ParseError``.  Nodes come from a
-table keyed by class and child identities, so equal subformulas are one
-object; ``parse_derivation`` and ``parse_cs`` share one table per file.
+nested deeper than ``MAX_DEPTH`` is a ``ParseError``.  The parser calls
+the node constructors of :mod:`fjl.syntax`, which intern every node, so
+equal subformulas are one object, within one text and across texts.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ MAX_DEPTH = 1000
 _TOO_DEEP = "nested too deeply"
 
 # Formula stack frames: (_BOTTOM, 0), (_GROUP, levels),
-# (_PREFIX, levels, key, class, args) and (_BIN, levels, precedence, class, left).
+# (_PREFIX, levels, class, args) and (_BIN, levels, precedence, class, left).
 _BOTTOM, _GROUP, _PREFIX, _BIN = range(4)
 
 
@@ -109,9 +109,8 @@ def _is_ident(tok: str) -> bool:
 
 
 class _Parser:
-    def __init__(self, text: str, config, shared):
+    def __init__(self, text: str, config):
         self.text, self.config, self.tokens = text, config, tokenize(text)
-        self.shared = {} if shared is None else shared
         #: "(" index -> (its term, index after the term), or (None, "(" index).
         self.groups: dict = {}
 
@@ -123,33 +122,29 @@ class _Parser:
     def expected(self, what: str, i: int) -> ParseError:
         return self.error(f"expected {what}, found {self.tokens[i] or 'end of input'!r}", i)
 
-    def share(self, key: tuple, cls, *args):
-        """The node ``cls(*args)``, filed in the table under ``key``."""
-        node = self.shared.get(key)
-        if node is None:
-            node = self.shared[key] = cls(*args)
-        return node
-
-    def constant(self, i: int) -> tuple[Fraction, int]:
-        """The truth constant at token ``i`` and the index after it.  Each
-        spelling is read once per table."""
+    def constant(self, i: int) -> tuple:
+        """The truth constant at token ``i``, the int 0 or 1 or a Fraction
+        strictly between, and the index after it."""
         tokens = self.tokens
         after = i + 3 if tokens[i + 1:i + 2] == ["/"] else i + 1
+        ints = []
         for k in range(i, after, 2):
             if not tokens[k][:1].isdecimal():
                 raise self.expected("'INT'", k)
-        key = ("#",) + tuple(tokens[i:after])
-        known = self.shared.get(key)
-        if known is None:
-            den = int(tokens[after - 1]) if after > i + 1 else 1
-            if den == 0:
-                raise self.error("zero denominator", after - 1)
-            value = Fraction(int(tokens[i]), den)
-            if value > 1:
-                raise self.error(f"truth constant {value} outside [0, 1]", i, ConstantRangeError)
-            known = self.shared[key] = (value, value != 0 and value != 1)
-        value, graded = known
-        if graded and self.config is not None and not self.config.has_truth_constants:
+            try:
+                ints.append(int(tokens[k]))
+            except ValueError:      # more digits than int() reads
+                raise self.error("integer literal too long", k) from None
+        num, den = ints if len(ints) == 2 else (ints[0], 1)
+        if den == 0:
+            raise self.error("zero denominator", after - 1)
+        if num > den:
+            raise self.error(f"truth constant {Fraction(num, den)} outside [0, 1]", i,
+                             ConstantRangeError)
+        if num == 0 or num == den:
+            return num // den, after
+        value = Fraction(num, den)
+        if self.config is not None and not self.config.has_truth_constants:
             raise self.error(f"graded truth constant #{value} needs rational constants "
                              "in the language", i, ConstantNotAllowedError)
         return value, after
@@ -157,7 +152,7 @@ class _Parser:
     def term(self, i: int, depth: int):
         """The term at token ``i`` and the index after it, or None and the
         error and index where the scan stopped."""
-        tokens, groups, share = self.tokens, self.groups, self.share
+        tokens, groups = self.tokens, self.groups
         stack, operand = [], True   # "(" indices of open groups, (precedence, class, left)
         while True:
             tok = tokens[i]
@@ -171,7 +166,7 @@ class _Parser:
                     i += 1
                     continue
                 t, i = (groups[i] if tok == "(" else (None, i) if not _is_ident(tok)
-                        else (share((term_atom, tok), term_atom, tok), i + 1))
+                        else (term_atom(tok), i + 1))
                 if t is None:
                     error = "a term"
                     break
@@ -180,7 +175,7 @@ class _Parser:
             prec = 2 if tok == "." else 1 if tok == "+" else 0
             while stack and stack[-1].__class__ is tuple and stack[-1][0] >= prec:
                 _, cls, left = stack.pop()
-                t = share((cls, id(left), id(t)), cls, left, t)
+                t = cls(left, t)
             if prec:
                 stack.append((prec, App if prec == 2 else Sum, t))
                 operand = True
@@ -198,7 +193,7 @@ class _Parser:
 
     def formula(self) -> Formula:
         """The formula that makes up the whole input."""
-        tokens, share = self.tokens, self.share
+        tokens = self.tokens
         stack, depth, frame, i = [(_BOTTOM, 0)], 0, None, 0
         while True:
             if frame is not None:   # opened by token i
@@ -209,11 +204,11 @@ class _Parser:
                 i += 1
             tok, frame = tokens[i], None
             if tok == "~":
-                frame = (_PREFIX, 1, (Neg,), Neg, ())
+                frame = (_PREFIX, 1, Neg, ())
                 continue
             if tok == "#":
                 value, i = self.constant(i + 1)
-                f = share((TruthConst, id(value)), TruthConst, value)
+                f = TruthConst(value)
             elif tok == "(" or _is_ident(tok):
                 if tok == "(" or tokens[i + 1] == "." or tokens[i + 1] == "+":
                     term, after = self.term(i, depth)
@@ -221,27 +216,27 @@ class _Parser:
                     term, after = tok, i + 1
                 if term is not None and tokens[after] == ":":
                     if term is tok:
-                        term = share((term_atom, tok), term_atom, tok)
+                        term = term_atom(tok)
                     cls, i = _GRADES.get(tokens[after + 1], Justified), after
                     if cls is Justified:
-                        frame = (_PREFIX, 3, (cls, id(term)), cls, (term,))
+                        frame = (_PREFIX, 3, cls, (term,))
                     else:
                         grade, i = self.constant(after + 2)
                         if tokens[i] != "}":
                             raise self.expected("'}'", i)
-                        frame = (_PREFIX, 3, (cls, id(grade), id(term)), cls, (grade, term))
+                        frame = (_PREFIX, 3, cls, (grade, term))
                     continue
                 if tok == "(":
                     frame = (_GROUP, 7)
                     continue
-                f, i = share((Prop, tok), Prop, tok), i + 1
+                f, i = Prop(tok), i + 1
             else:
                 raise self.expected("a formula", i)
             # ``f`` is complete: apply prefixes, take a connective or close a group.
             while frame is None:
                 while stack[-1][0] == _PREFIX:
-                    _, levels, key, cls, args = stack.pop()
-                    f, depth = share(key + (id(f),), cls, *args, f), depth - levels
+                    _, levels, cls, args = stack.pop()
+                    f, depth = cls(*args, f), depth - levels
                 op = _BINARY.get(tokens[i])
                 prec = op[0] if op else 0
                 # Tighter connectives close first; '->' is right-associative.
@@ -249,7 +244,7 @@ class _Parser:
                     if stack[-1][2] == prec == 1:
                         op, prec = None, 0      # '==' and '<->' do not chain
                     _, levels, _, cls, left = stack.pop()
-                    f, depth = share((cls, id(left), id(f)), cls, left, f), depth - levels
+                    f, depth = cls(left, f), depth - levels
                 if op is not None:
                     frame = (_BIN, int(prec == 2), prec, op[1], f)
                     continue
@@ -264,14 +259,14 @@ class _Parser:
                 i += 1
 
 
-def parse_formula(text: str, config=None, *, shared=None) -> Formula:
+def parse_formula(text: str, config=None) -> Formula:
     """Parse ``text``; ``config`` gates graded truth constants (None allows
-    them).  Nodes are taken from and added to the table ``shared`` if given."""
-    return _Parser(text, config, shared).formula()
+    them)."""
+    return _Parser(text, config).formula()
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(text, None, None)
+    p = _Parser(text, None)
     t, i = p.term(0, 0)
     if t is None:
         error, i = i

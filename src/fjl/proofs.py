@@ -8,8 +8,9 @@ graded modus ponens rules, monotonicity, and the stock theorems used by
 internalization, is macro-expanded by :class:`DerivationBuilder` into
 primitive steps that the checker re-verifies.
 
-Formula comparison throughout is structural equality of sugar-expanded
-normal forms.
+Formula comparison throughout is identity of sugar-expanded normal
+forms: nodes are interned (see :mod:`fjl.syntax`), so two formulas are
+structurally equal exactly when they are one object.
 """
 
 from __future__ import annotations
@@ -943,10 +944,8 @@ def format_derivation(d: Derivation) -> str:
 
 
 def parse_derivation(text: str, config: Optional[LogicConfig] = None) -> Derivation:
-    """Equal subformulas anywhere in the file are parsed to one object."""
     hypotheses: list = []
     steps: list = []
-    shared: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -954,7 +953,7 @@ def parse_derivation(text: str, config: Optional[LogicConfig] = None) -> Derivat
         if line.startswith("HYP "):
             if steps:
                 raise ProofError(f"line {lineno}: hypotheses must precede steps")
-            hypotheses.append(parse_formula(line[4:].strip(), config, shared=shared))
+            hypotheses.append(parse_formula(line[4:].strip(), config))
             continue
         if not line.startswith("STEP "):
             raise ProofError(f"line {lineno}: expected HYP or STEP")
@@ -967,7 +966,7 @@ def parse_derivation(text: str, config: Optional[LogicConfig] = None) -> Derivat
             raise ProofError(f"line {lineno}: malformed STEP line") from None
         if number != len(steps) + 1:
             raise ProofError(f"line {lineno}: expected step number {len(steps) + 1}")
-        formula = parse_formula(formula_text.strip(), config, shared=shared)
+        formula = parse_formula(formula_text.strip(), config)
         words = by.split()
         if not words or words[0] not in _RULE_WORDS:
             raise ProofError(f"line {lineno}: unknown rule {by!r}")
@@ -990,12 +989,10 @@ def parse_derivation(text: str, config: Optional[LogicConfig] = None) -> Derivat
 
 
 def parse_cs(text: str, config: Optional[LogicConfig] = None) -> FiniteCS:
-    """One entry formula per line; blank lines and # comments ignored.
-    Equal subformulas anywhere in the file are parsed to one object."""
+    """One entry formula per line; blank lines and # comments ignored."""
     entries = []
-    shared: dict = {}
     for raw in text.splitlines():
         line = raw.strip()
         if line and not line.startswith("#"):
-            entries.append(parse_formula(line, config, shared=shared))
+            entries.append(parse_formula(line, config))
     return FiniteCS(entries)

@@ -8,17 +8,23 @@ connectives, both equivalences and the graded assertion forms
 ``t:{>=r}A`` / ``t:{<=r}A`` / ``t:{==r}A`` are definitional sugar that
 :func:`expand_sugar` rewrites into the five primitive constructors.
 
-All nodes are immutable and hashable; truth values are exact
-``fractions.Fraction`` instances restricted to [0, 1].
+Nodes are immutable and hash-consed (Filliatre & Conchon, "Type-Safe
+Modular Hash-Consing", 2006): equal nodes are one object, so ``==`` is
+``is`` and hashing is by identity.  A weak table holds each live node,
+and a node keeps its own sugar expansion.  Expansion, printing and the
+structure walks use explicit stacks, so depth is bounded by memory, not
+by the recursion limit.  Truth values are exact ``fractions.Fraction``
+instances restricted to [0, 1].
 """
 
 from __future__ import annotations
 
-import dataclasses
 import re
-from dataclasses import dataclass
+import threading
+import weakref
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
+from operator import methodcaller
 from typing import Iterator, Union
 
 ZERO = Fraction(0)
@@ -50,40 +56,128 @@ def format_rational(q: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
+# The intern table.  Keys hold only classes, strings, ints and nodes (a
+# rational as numerator and denominator), so comparing keys and dropping
+# a dead node's entry run no Python code and cannot be interleaved.
+
+_table: dict = {}
+_lock = threading.Lock()
+#: ``_table.get(key, _MISSING)()`` is the live node under ``key`` or None.
+_MISSING = type(None)
+#: The ``_expanded`` mark of a node that is its own sugar expansion.
+_SELF = object()
+
+
+def _new(cls, key: tuple, *values):
+    """The node of ``cls`` with fields ``values``, made and filed under
+    ``key`` unless another thread filed it first."""
+    with _lock:
+        node = _table.get(key, _MISSING)()
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, values):
+                object.__setattr__(node, name, value)
+            _mark(node, _SELF if cls is Prop or cls is TruthConst else None)
+            _table[key] = weakref.ref(node, partial(_table.pop, key))
+    return node
+
+
+class _Node:
+    __slots__ = ("__weakref__", "_expanded")
+    _fields: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        # Recursive: models sort by the repr of small formulas, where a
+        # walk costs several times more; the common shapes override it.
+        fields = [f"{name}={getattr(self, name)!r}" for name in self._fields]
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def __str__(self) -> str:
+        return _render(self)
+
+    def _nodes(self) -> tuple:
+        """The child nodes."""
+        return ()
+
+    def _operands(self) -> tuple:
+        """The child nodes a formula walk enters: not the term of ``t:A``."""
+        return ()
+
+
+_mark = _Node._expanded.__set__
+
+
+class _Named(_Node):
+    __slots__ = ("name",)
+    _fields = ("name",)
+
+    def __new__(cls, name: str):
+        key = (cls, name)
+        return _table.get(key, _MISSING)() or _new(cls, key, name)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(name={self.name!r})"
+
+
+class _Pair(_Node):
+    __slots__ = ()
+
+    def __new__(cls, left, right):
+        key = (cls, left, right)
+        return _table.get(key, _MISSING)() or _new(cls, key, left, right)
+
+
+class _Binary(_Pair):
+    __slots__ = ("left", "right")
+    _fields = ("left", "right")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(left={self.left!r}, right={self.right!r})"
+
+    def _nodes(self) -> tuple:
+        return self.left, self.right
+
+    _operands = _nodes
+
+
+class _Assertion(_Node):
+    """``t:A`` and its graded forms."""
+
+    __slots__ = ()
+
+    def _nodes(self) -> tuple:
+        return self.term, self.body
+
+    def _operands(self) -> tuple:
+        return (self.body,)
+
+
+# ---------------------------------------------------------------------------
 # Justification terms
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-    def __str__(self) -> str:
-        return print_term(self)
+class Var(_Named):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
-
-    def __str__(self) -> str:
-        return print_term(self)
+class Const(_Named):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class App:
-    left: "Term"
-    right: "Term"
-
-    def __str__(self) -> str:
-        return print_term(self)
+class App(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sum:
-    left: "Term"
-    right: "Term"
-
-    def __str__(self) -> str:
-        return print_term(self)
+class Sum(_Binary):
+    __slots__ = ()
 
 
 Term = Union[Var, Const, App, Sum]
@@ -100,236 +194,210 @@ def term_atom(name: str) -> Term:
 # ---------------------------------------------------------------------------
 # Formulas
 
-@dataclass(frozen=True)
-class Prop:
-    name: str
-
-    def __str__(self) -> str:
-        return print_formula(self)
+class Prop(_Named):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TruthConst:
-    value: Fraction
+class TruthConst(_Node):
+    __slots__ = ("value",)
+    _fields = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", as_unit(self.value))
-
-    def __str__(self) -> str:
-        return print_formula(self)
-
-
-@dataclass(frozen=True)
-class StrongConj:
-    left: "Formula"
-    right: "Formula"
-
-    def __str__(self) -> str:
-        return print_formula(self)
+    def __new__(cls, value):
+        try:
+            key = (cls, value.numerator, value.denominator)
+        except AttributeError:
+            value = as_unit(value)
+            key = (cls, value.numerator, value.denominator)
+        return _table.get(key, _MISSING)() or _new(cls, key, as_unit(value))
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
-
-    def __str__(self) -> str:
-        return print_formula(self)
+class StrongConj(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Justified:
-    term: Term
-    body: "Formula"
-
-    def __str__(self) -> str:
-        return print_formula(self)
+class Implies(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Neg:
-    body: "Formula"
-
-    def __str__(self) -> str:
-        return print_formula(self)
+class Justified(_Pair, _Assertion):
+    __slots__ = ("term", "body")
+    _fields = ("term", "body")
 
 
-@dataclass(frozen=True)
-class WeakConj:
-    left: "Formula"
-    right: "Formula"
+class Neg(_Node):
+    __slots__ = ("body",)
+    _fields = ("body",)
 
-    def __str__(self) -> str:
-        return print_formula(self)
+    def __new__(cls, body):
+        key = (cls, body)
+        return _table.get(key, _MISSING)() or _new(cls, key, body)
 
+    def _nodes(self) -> tuple:
+        return (self.body,)
 
-@dataclass(frozen=True)
-class WeakDisj:
-    left: "Formula"
-    right: "Formula"
-
-    def __str__(self) -> str:
-        return print_formula(self)
+    _operands = _nodes
 
 
-@dataclass(frozen=True)
-class Equiv:
+class WeakConj(_Binary):
+    __slots__ = ()
+
+
+class WeakDisj(_Binary):
+    __slots__ = ()
+
+
+class Equiv(_Binary):
     """Strong equivalence, definable as (A -> B) & (B -> A)."""
 
-    left: "Formula"
-    right: "Formula"
-
-    def __str__(self) -> str:
-        return print_formula(self)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BiImpl:
+class BiImpl(_Binary):
     """Weak equivalence, definable as (A -> B) /\\ (B -> A)."""
 
-    left: "Formula"
-    right: "Formula"
-
-    def __str__(self) -> str:
-        return print_formula(self)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GradedAtLeast:
+class _Graded(_Assertion):
+    __slots__ = ("grade", "term", "body")
+    _fields = ("grade", "term", "body")
+
+    def __new__(cls, grade, term, body):
+        try:
+            key = (cls, grade.numerator, grade.denominator, term, body)
+        except AttributeError:
+            grade = as_unit(grade)
+            key = (cls, grade.numerator, grade.denominator, term, body)
+        return _table.get(key, _MISSING)() or _new(cls, key, as_unit(grade), term, body)
+
+
+class GradedAtLeast(_Graded):
     """``t:{>=r}A``, sugar for ``#r -> t:A``."""
 
-    grade: Fraction
-    term: Term
-    body: "Formula"
-
-    def __post_init__(self):
-        object.__setattr__(self, "grade", as_unit(self.grade))
-
-    def __str__(self) -> str:
-        return print_formula(self)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GradedAtMost:
+class GradedAtMost(_Graded):
     """``t:{<=r}A``, sugar for ``t:A -> #r``."""
 
-    grade: Fraction
-    term: Term
-    body: "Formula"
-
-    def __post_init__(self):
-        object.__setattr__(self, "grade", as_unit(self.grade))
-
-    def __str__(self) -> str:
-        return print_formula(self)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GradedExact:
+class GradedExact(_Graded):
     """``t:{==r}A``, sugar for ``(t:{>=r}A) /\\ (t:{<=r}A)``."""
 
-    grade: Fraction
-    term: Term
-    body: "Formula"
-
-    def __post_init__(self):
-        object.__setattr__(self, "grade", as_unit(self.grade))
-
-    def __str__(self) -> str:
-        return print_formula(self)
+    __slots__ = ()
 
 
-Formula = Union[
-    Prop, TruthConst, StrongConj, Implies, Justified,
-    Neg, WeakConj, WeakDisj, Equiv, BiImpl,
-    GradedAtLeast, GradedAtMost, GradedExact,
-]
+Formula = Union[Prop, TruthConst, StrongConj, Implies, Justified, Neg, WeakConj,
+                WeakDisj, Equiv, BiImpl, GradedAtLeast, GradedAtMost, GradedExact]
 
 _PRIMITIVE = (Prop, TruthConst, StrongConj, Implies, Justified)
-_GRADED = (GradedAtLeast, GradedAtMost, GradedExact)
-
-
-def _install_cached_hash(cls):
-    """Deep trees are hashed once; shared subtrees keep the work linear."""
-    names = tuple(f.name for f in dataclasses.fields(cls))
-    marker = cls.__name__
-
-    def __hash__(self):
-        value = self.__dict__.get("_hash")
-        if value is None:
-            value = hash((marker,) + tuple(getattr(self, n) for n in names))
-            object.__setattr__(self, "_hash", value)
-        return value
-
-    cls.__hash__ = __hash__
-
-
-for _node in (Var, Const, App, Sum, Prop, TruthConst, StrongConj, Implies,
-              Justified, Neg, WeakConj, WeakDisj, Equiv, BiImpl,
-              GradedAtLeast, GradedAtMost, GradedExact):
-    _install_cached_hash(_node)
 
 FALSUM = TruthConst(ZERO)
 VERUM = TruthConst(ONE)
 
 
-def neg(f: Formula) -> Formula:
-    """Primitive form of negation, A -> #0."""
-    return Implies(f, FALSUM)
+# ---------------------------------------------------------------------------
+# Sugar expansion
+
+def _wedge(a: Formula, b: Formula) -> Formula:     # a /\ b
+    return StrongConj(a, Implies(a, b))
 
 
-@lru_cache(maxsize=None)
+def _weak_equiv(a: Formula, b: Formula) -> Formula:    # a <-> b
+    return _wedge(Implies(a, b), Implies(b, a))
+
+
+#: The expansion of a node from the expansions of its operands.
+_EXPAND = {
+    StrongConj: lambda f, a, b: StrongConj(a, b),
+    Implies: lambda f, a, b: Implies(a, b),
+    Justified: lambda f, a: Justified(f.term, a),
+    Neg: lambda f, a: Implies(a, FALSUM),
+    WeakConj: lambda f, a, b: _wedge(a, b),
+    WeakDisj: lambda f, a, b: _wedge(Implies(Implies(a, b), b), Implies(Implies(b, a), a)),
+    Equiv: lambda f, a, b: StrongConj(Implies(a, b), Implies(b, a)),
+    BiImpl: lambda f, a, b: _weak_equiv(a, b),
+    GradedAtLeast: lambda f, a: Implies(TruthConst(f.grade), Justified(f.term, a)),
+    GradedAtMost: lambda f, a: Implies(Justified(f.term, a), TruthConst(f.grade)),
+    GradedExact: lambda f, a: _weak_equiv(TruthConst(f.grade), Justified(f.term, a)),
+}
+
+
 def expand_sugar(f: Formula) -> Formula:
     """Rewrite every defined connective into the primitive constructors.
 
     The result contains only Prop, TruthConst, StrongConj, Implies and
-    Justified nodes and the function is idempotent.
+    Justified nodes and the function is idempotent.  A node keeps its
+    expansion, so it is expanded once while it lives.
     """
-    if isinstance(f, (Prop, TruthConst)):
-        return f
-    if isinstance(f, StrongConj):
-        return StrongConj(expand_sugar(f.left), expand_sugar(f.right))
-    if isinstance(f, Implies):
-        return Implies(expand_sugar(f.left), expand_sugar(f.right))
-    if isinstance(f, Justified):
-        return Justified(f.term, expand_sugar(f.body))
-    if isinstance(f, Neg):
-        return Implies(expand_sugar(f.body), FALSUM)
-    if isinstance(f, WeakConj):
-        a, b = expand_sugar(f.left), expand_sugar(f.right)
-        return StrongConj(a, Implies(a, b))
-    if isinstance(f, WeakDisj):
-        a, b = expand_sugar(f.left), expand_sugar(f.right)
-        u = Implies(Implies(a, b), b)
-        v = Implies(Implies(b, a), a)
-        return StrongConj(u, Implies(u, v))
-    if isinstance(f, Equiv):
-        a, b = expand_sugar(f.left), expand_sugar(f.right)
-        return StrongConj(Implies(a, b), Implies(b, a))
-    if isinstance(f, BiImpl):
-        a, b = expand_sugar(f.left), expand_sugar(f.right)
-        x, y = Implies(a, b), Implies(b, a)
-        return StrongConj(x, Implies(x, y))
-    if isinstance(f, GradedAtLeast):
-        return Implies(TruthConst(f.grade), Justified(f.term, expand_sugar(f.body)))
-    if isinstance(f, GradedAtMost):
-        return Implies(Justified(f.term, expand_sugar(f.body)), TruthConst(f.grade))
-    if isinstance(f, GradedExact):
-        j = Justified(f.term, expand_sugar(f.body))
-        x = Implies(TruthConst(f.grade), j)
-        y = Implies(j, TruthConst(f.grade))
-        return StrongConj(x, Implies(x, y))
-    raise TypeError(f"not a formula: {f!r}")
+    if f._expanded is None:
+        for g in _postorder(f, _unexpanded)[0]:
+            rule = _EXPAND.get(type(g))
+            if rule is None:
+                raise TypeError(f"not a formula: {g!r}")
+            x = rule(g, *(a if a._expanded is _SELF else a._expanded for a in g._operands()))
+            _mark(g, _SELF if x is g else x)
+            _mark(x, _SELF)
+    e = f._expanded
+    return f if e is _SELF else e
+
+
+def _unexpanded(f: Formula) -> list:
+    return [a for a in f._operands() if a._expanded is None]
 
 
 def is_primitive(f: Formula) -> bool:
-    if isinstance(f, (Prop, TruthConst)):
-        return True
-    if isinstance(f, (StrongConj, Implies)):
-        return is_primitive(f.left) and is_primitive(f.right)
-    if isinstance(f, Justified):
-        return is_primitive(f.body)
-    return False
+    return all(isinstance(g, _PRIMITIVE) for g in subformulas(f))
+
+
+# ---------------------------------------------------------------------------
+# Structure walks
+
+_EXIT = object()
+
+
+def _postorder(root, children) -> tuple[list, dict]:
+    """The distinct nodes reached from ``root`` through ``children``, each
+    after its children, and how often each is a child (``root`` once
+    more, for the caller)."""
+    order, uses, entered, stack = [], {root: 1}, set(), [root]
+    while stack:
+        g = stack.pop()
+        if g is _EXIT:
+            order.append(stack.pop())
+        elif g not in entered:
+            entered.add(g)
+            stack += (g, _EXIT)
+            for c in children(g):
+                uses[c] = uses.get(c, 0) + 1
+                stack.append(c)
+    return order, uses
+
+
+def subterms(t: Term) -> Iterator[Term]:
+    """The distinct subterms of ``t``, ``t`` included."""
+    return iter(_postorder(t, methodcaller("_nodes"))[0])
+
+
+def subformulas(f: Formula) -> Iterator[Formula]:
+    """The distinct subformulas of ``f``, ``f`` included; terms are not entered."""
+    return iter(_postorder(f, methodcaller("_operands"))[0])
+
+
+def justified_pairs(f: Formula) -> set:
+    """All (term, body) pairs of justification assertions in the expansion of ``f``."""
+    return {(g.term, g.body) for g in subformulas(expand_sugar(f)) if isinstance(g, Justified)}
+
+
+def formula_props(f: Formula) -> set:
+    return {g.name for g in subformulas(f) if isinstance(g, Prop)}
+
+
+def term_dag_size(t: Term) -> int:
+    """Number of distinct subterms; shared subterms are counted once."""
+    return sum(1 for _ in subterms(t))
 
 
 # ---------------------------------------------------------------------------
@@ -343,126 +411,73 @@ def is_primitive(f: Formula) -> bool:
 #   t:A       (the body is a prefix-level formula)
 # and for terms: '+' below '.', both left-associative.
 
-_TERM_LEVEL = {Sum: 1, App: 2, Var: 3, Const: 3}
-
-
-def _pt(t: Term) -> str:
-    if isinstance(t, (Var, Const)):
-        return t.name
-    level = _TERM_LEVEL[type(t)]
-    sym = "+" if isinstance(t, Sum) else "."
-    left = _pt(t.left)
-    if _TERM_LEVEL[type(t.left)] < level:
-        left = f"({left})"
-    right = _pt(t.right)
-    if _TERM_LEVEL[type(t.right)] <= level:
-        right = f"({right})"
-    return f"{left}{sym}{right}"
-
-
-def print_term(t: Term) -> str:
-    return _pt(t)
-
-
-_EQUIV_LEVEL = 1
-_IMPLIES_LEVEL = 2
 _PREFIX_LEVEL = 6
-_ATOM_LEVEL = 9
 
-_FORMULA_LEVEL = {
-    Equiv: _EQUIV_LEVEL, BiImpl: _EQUIV_LEVEL,
-    Implies: _IMPLIES_LEVEL,
+_LEVEL = {
+    Sum: 1, App: 2, Var: 3, Const: 3,
+    Equiv: 1, BiImpl: 1, Implies: 2,
     WeakDisj: 3, WeakConj: 4, StrongConj: 5,
     Neg: _PREFIX_LEVEL,
     Justified: 7, GradedAtLeast: 7, GradedAtMost: 7, GradedExact: 7,
-    Prop: _ATOM_LEVEL, TruthConst: _ATOM_LEVEL,
+    Prop: 9, TruthConst: 9,
 }
 
-_BINARY_SYMBOL = {
-    Equiv: "==", BiImpl: "<->", Implies: "->",
-    WeakDisj: "\\/", WeakConj: "/\\", StrongConj: "&",
+_SYMBOL = {
+    Sum: "+", App: ".",
+    Equiv: " == ", BiImpl: " <-> ", Implies: " -> ",
+    WeakDisj: " \\/ ", WeakConj: " /\\ ", StrongConj: " & ",
 }
 
+_GRADE_MARK = {GradedAtLeast: ">=", GradedAtMost: "<=", GradedExact: "=="}
 
-def _grade_mark(f: Formula) -> str:
-    if isinstance(f, GradedAtLeast):
-        return f"{{>={format_rational(f.grade)}}}"
-    if isinstance(f, GradedAtMost):
-        return f"{{<={format_rational(f.grade)}}}"
-    return f"{{=={format_rational(f.grade)}}}"
+#: An operand whose level is below the connective's plus this shift, (left,
+#: right), is parenthesised.  Default (0, 1): left-associative.
+_GROUPING = {Equiv: (1, 1), BiImpl: (1, 1), Implies: (1, 0)}
 
 
-def _pf(f: Formula) -> str:
-    if isinstance(f, Prop):
-        return f.name
-    if isinstance(f, TruthConst):
-        return f"#{format_rational(f.value)}"
-    if isinstance(f, Neg):
-        inner = _pf(f.body)
-        if _FORMULA_LEVEL[type(f.body)] < _PREFIX_LEVEL:
+def _text(g, text: dict) -> str:
+    """The text of node ``g`` given the texts of its children."""
+    cls = type(g)
+    if cls is Prop or cls is Var or cls is Const:
+        return g.name
+    if cls is TruthConst:
+        return f"#{format_rational(g.value)}"
+    level = _LEVEL[cls]
+    if cls is Neg or isinstance(g, _Assertion):
+        inner = text[g.body]
+        if _LEVEL[type(g.body)] < _PREFIX_LEVEL:
             inner = f"({inner})"
-        return f"~{inner}"
-    if isinstance(f, Justified) or isinstance(f, _GRADED):
-        body = f.body
-        inner = _pf(body)
-        if _FORMULA_LEVEL[type(body)] < _PREFIX_LEVEL:
-            inner = f"({inner})"
-        mark = "" if isinstance(f, Justified) else _grade_mark(f)
-        return f"{_pt(f.term)}:{mark}{inner}"
-    level = _FORMULA_LEVEL[type(f)]
-    sym = _BINARY_SYMBOL[type(f)]
-    lt, rt = _pf(f.left), _pf(f.right)
-    ll, rl = _FORMULA_LEVEL[type(f.left)], _FORMULA_LEVEL[type(f.right)]
-    if level == _EQUIV_LEVEL:
-        need_left, need_right = ll <= level, rl <= level
-    elif level == _IMPLIES_LEVEL:
-        need_left, need_right = ll <= level, rl < level
-    else:
-        need_left, need_right = ll < level, rl <= level
-    if need_left:
-        lt = f"({lt})"
-    if need_right:
-        rt = f"({rt})"
-    return f"{lt} {sym} {rt}"
+        if cls is Neg:
+            return f"~{inner}"
+        mark = "" if cls is Justified else f"{{{_GRADE_MARK[cls]}{format_rational(g.grade)}}}"
+        return f"{text[g.term]}:{mark}{inner}"
+    left, right = text[g.left], text[g.right]
+    left_shift, right_shift = _GROUPING.get(cls, (0, 1))
+    if _LEVEL[type(g.left)] < level + left_shift:
+        left = f"({left})"
+    if _LEVEL[type(g.right)] < level + right_shift:
+        right = f"({right})"
+    return f"{left}{_SYMBOL[cls]}{right}"
+
+
+def _render(root) -> str:
+    """The text of ``root``: each distinct node is rendered once, after its
+    children, and a child's text is dropped after its last use."""
+    order, uses = _postorder(root, methodcaller("_nodes"))
+    text = {}
+    for g in order:
+        text[g] = _text(g, text)
+        for c in g._nodes():
+            uses[c] -= 1
+            if not uses[c]:
+                del text[c]
+    return text[root]
+
+
+def print_term(t: Term) -> str:
+    return _render(t)
 
 
 def print_formula(f: Formula) -> str:
     """Render with minimal parenthesization; inverse of the parser."""
-    return _pf(f)
-
-
-# ---------------------------------------------------------------------------
-# Structure walks
-
-def subterms(t: Term) -> Iterator[Term]:
-    yield t
-    if isinstance(t, (App, Sum)):
-        yield from subterms(t.left)
-        yield from subterms(t.right)
-
-
-def subformulas(f: Formula) -> Iterator[Formula]:
-    yield f
-    if isinstance(f, (StrongConj, Implies, WeakConj, WeakDisj, Equiv, BiImpl)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, (Justified, Neg) + _GRADED):
-        yield from subformulas(f.body)
-
-
-def justified_pairs(f: Formula) -> set:
-    """All (term, body) pairs of justification assertions in the expansion of ``f``."""
-    out = set()
-    for g in subformulas(expand_sugar(f)):
-        if isinstance(g, Justified):
-            out.add((g.term, g.body))
-    return out
-
-
-def formula_props(f: Formula) -> set:
-    return {g.name for g in subformulas(f) if isinstance(g, Prop)}
-
-
-def term_dag_size(t: Term) -> int:
-    """Number of distinct subterms; shared subterms are counted once."""
-    return len(set(subterms(t)))
+    return _render(f)

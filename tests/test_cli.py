@@ -5,7 +5,8 @@ import pytest
 
 from fjl.cli import main
 from fjl.models import FittingModel, save_model
-from fjl.syntax import Prop, Var
+from fjl.parser import parse_formula
+from fjl.syntax import Prop, Var, expand_sugar, print_formula
 from fjl.tnorms import TNormKind
 
 
@@ -138,3 +139,16 @@ def test_seed_env_override(monkeypatch, capsys):
 def test_parse_deep_input_is_an_error_not_a_traceback(capsys):
     assert main(["parse", "~" * 3000 + "p"]) == 2
     assert "nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [[], ["--expand"]], ids=["plain", "expand"])
+@pytest.mark.parametrize("text", [
+    "~" * 600 + "p",
+    "~" * 1000 + "p",
+    "p & " * 5000 + "p",
+    ".".join(["x"] * 5000) + ":p",
+], ids=["negations-600", "negations-1000", "conjunctions-5000", "applications-5000"])
+def test_parse_deep_input_succeeds(capsys, flags, text):
+    assert main(["parse", *flags, text]) == 0
+    expected = print_formula(expand_sugar(parse_formula(text))) if flags else text
+    assert capsys.readouterr().out.strip() == expected

@@ -84,6 +84,18 @@ def test_constant_out_of_range():
         parse_formula("#5/4 -> p")
 
 
+@pytest.mark.parametrize("text, position", [
+    ("#" + "1" * 5000, 1),
+    ("#1/" + "1" * 5000, 3),
+    ("t:{>=1/" + "2" * 5000 + "}p", 7),
+], ids=["numerator", "denominator", "grade"])
+def test_overlong_integer_literal_is_parse_error(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert err.value.message == "integer literal too long"
+    assert err.value.position == position
+
+
 def test_graded_constants_rejected_outside_pavelka_base():
     with pytest.raises(ConstantNotAllowedError):
         parse_formula("#1/2 -> p", BL)
@@ -149,6 +161,6 @@ def test_nesting_accepted_below_the_bound():
 def test_equal_subformulas_are_one_object():
     f = parse_formula("(s.t:p -> q) & (s.t:p -> q)")
     assert f.left is f.right
-    table: dict = {}
-    g = parse_formula("s.t:p", shared=table)
-    assert parse_formula("r -> s.t:p", shared=table).right is g
+    g = parse_formula("s.t:p")
+    assert parse_formula("r -> s.t:p").right is g
+    assert parse_formula("(s.t:p)") is g

@@ -127,7 +127,7 @@ def test_check_derivation_verdicts_agree_with_oracle(monkeypatch):
 
     ours = verdicts()
     monkeypatch.setattr(proofs, "parse_formula",
-                        lambda text, config=None, shared=None:
+                        lambda text, config=None:
                         oracle.parse_formula(text, config))
     assert ours == verdicts()
     assert {ok for ok, _, _ in ours} == {True, False}

@@ -19,11 +19,31 @@ SMALL = {
 }
 
 
+#: Case counts of each suite at its ``SMALL`` size with seed 0.  A change
+#: that keeps these and passes keeps every ``SuiteReport`` identical.
+SMALL_CASES = {
+    "adjunction": 3993,
+    "tnorm-laws": 1197,
+    "residuum-monotonicity": 2744,
+    "bl-theorems": 24,
+    "graded-theorems": 24,
+    "graded-semantics": 27,
+    "soundness": 360,
+    "uncertainty": 40,
+    "frames": 12,
+    "crisp": 111360,
+    "conservativity": 20,
+    "lift": 5,
+    "degrees": 30,
+}
+
+
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_suite_passes_at_small_size(name):
-    report = run_suite(name, **SMALL[name])
+    report = run_suite(name, seed=0, **SMALL[name])
     assert report.ok, report.summary()
-    assert report.cases > 0
+    assert report.failures == []
+    assert report.cases == SMALL_CASES[name]
 
 
 def test_unknown_suite_rejected():

@@ -16,7 +16,7 @@ from .generate import SearchBudget, find_countermodel
 from .lifting import degree_interval, internalize, lift
 from .logics import LogicConfig
 from .models import (
-    eval_formula, load_model, model_to_dict, save_model, validate_model,
+    eval_formula, eval_worlds, load_model, model_to_dict, save_model, validate_model,
 )
 from .parser import ParseError, parse_formula
 from .proofs import (
@@ -92,8 +92,8 @@ def cmd_eval(args) -> int:
     config = _config(args)
     model = load_model(args.model, config)
     f = parse_formula(args.formula, config)
-    worlds = [args.world] if args.world else list(model.worlds)
-    values = {w: eval_formula(model, w, f) for w in worlds}
+    values = ({args.world: eval_formula(model, args.world, f)} if args.world
+              else eval_worlds(model, f))
     payload = {"formula": args.formula,
                "values": {w: format_rational(v) for w, v in values.items()}}
     if args.world:

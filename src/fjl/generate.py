@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .logics import FMeta, LogicConfig, RMeta, Scheme, TMeta, active_schemes
-from .models import FittingModel, eval_formula, validate_model
+from .models import FittingModel, eval_worlds, validate_model
 from .proofs import (
     ConstantSpecification, DerivationBuilder, Derivation, EMPTY_CS, TotalCS,
     cs_entry,
@@ -35,7 +35,6 @@ from .tnorms import TNormKind
 class ModelParams:
     max_worlds: int = 3
     max_denominator: int = 8
-    frame: Optional[str] = None            # "reflexive" | "serial" | None
     tnorm: Optional[TNormKind] = None      # None: drawn from the logic's kinds
     evidence_entries: int = 4
     props: tuple = ("p", "q")
@@ -120,7 +119,8 @@ def _random_value(rng: random.Random, params: ModelParams, config: LogicConfig) 
 def random_model(seed: int, params: ModelParams = ModelParams(),
                  config: Optional[LogicConfig] = None,
                  cs: Optional[ConstantSpecification] = None) -> FittingModel:
-    """A validated random model; identical for identical seeds."""
+    """A validated random model; identical for identical seeds.  Its
+    frame is reflexive if ``config`` has jT and serial if it has jD."""
     config = config or LogicConfig()
     cs = cs if cs is not None else EMPTY_CS
     rng = random.Random(seed)
@@ -132,14 +132,12 @@ def random_model(seed: int, params: ModelParams = ModelParams(),
         for b in worlds:
             if rng.random() < 0.4:
                 access.add((a, b))
-    if params.frame == "reflexive":
+    if "jT" in config.extras:
         access.update((w, w) for w in worlds)
-    elif params.frame == "serial":
+    if "jD" in config.extras:
         for w in worlds:
             if not any(u == w for (u, _) in access):
                 access.add((w, rng.choice(worlds)))
-    elif params.frame is not None:
-        raise ValueError(f"unknown frame property {params.frame!r}")
 
     tnorm = params.tnorm or rng.choice(config.tnorm_kinds())
 
@@ -197,7 +195,7 @@ def find_countermodel(f: Formula, config: LogicConfig,
     """Seeded search for a validated model and world where ``f`` < 1.
 
     Returns (model, world) or None; None is only a failed search, not a
-    validity proof.
+    validity proof.  Only a model refuting ``f`` somewhere is validated.
     """
     cs = cs if cs is not None else EMPTY_CS
     goal = expand_sugar(f)
@@ -205,11 +203,9 @@ def find_countermodel(f: Formula, config: LogicConfig,
                          max_denominator=budget.max_denominator)
     for trial in range(budget.trials):
         model = random_model(budget.seed + trial, params, config, cs)
-        if not validate_model(model, config, cs, [goal]).ok:
-            continue
-        for w in model.worlds:
-            if eval_formula(model, w, goal) < ONE:
-                return model, w
+        refuted = [w for w, v in eval_worlds(model, goal).items() if v < ONE]
+        if refuted and validate_model(model, config, cs, [goal]).ok:
+            return model, refuted[0]
     return None
 
 

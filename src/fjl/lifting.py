@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 
 from .generate import ModelParams, SearchBudget, random_model
 from .logics import LogicConfig, axiom_instance_of
-from .models import FittingModel, eval_formula, validate_model
+from .models import FittingModel, eval_worlds, validate_model
 from .proofs import (
     ConstantSpecification, Derivation, DerivationBuilder, FiniteCS, Gian,
     Hyp, Ax, Ian, ProofError, TotalCS, check_derivation, cs_entry,
@@ -360,16 +360,14 @@ def truth_degree_ub(hypotheses: Iterable[Formula], goal: Formula,
 
     def consider(model: FittingModel) -> None:
         nonlocal best, witness
-        if not validate_model(model, config, cs, relevant).ok:
+        # ``best`` moves only on valid models: validating last changes no result
+        if any(v != ONE for h in hyp_e for v in eval_worlds(model, h).values()):
             return
-        for h in hyp_e:
-            for w in model.worlds:
-                if eval_formula(model, w, h) != ONE:
-                    return
-        for w in model.worlds:
-            value = eval_formula(model, w, goal_e)
-            if value < best:
-                best, witness = value, (model, w)
+        values = eval_worlds(model, goal_e)
+        low = min(values.values())
+        if low < best and validate_model(model, config, cs, relevant).ok:
+            best = low
+            witness = (model, next(w for w, v in values.items() if v == low))
 
     minimal = _minimal_model(hyp_e, goal_e, config, cs)
     if minimal is not None:

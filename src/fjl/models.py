@@ -11,6 +11,9 @@ approximation of the infinite total conditions.
 Evidence keys are normalised to sugar-expanded formulas, so a table
 entry written with graded sugar and a query in primitive form meet in
 the same slot.
+
+``eval_worlds`` evaluates at every world in one bottom-up pass; every other
+evaluator but the oracle ``crisp_eval`` reads off it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .parser import parse_formula, parse_term
 from .syntax import (
     App, Const, Formula, Implies, Justified, ONE, Prop, StrongConj, Sum,
     Term, TruthConst, ZERO, as_unit, expand_sugar, format_rational,
-    justified_pairs, parse_rational, print_formula, print_term, subterms,
+    justified_pairs, parse_rational, print_formula, print_term, subformulas, subterms,
 )
 from .tnorms import TNormKind, residuum_apply, tnorm_apply
 
@@ -57,20 +60,15 @@ class FittingModel:
         for a, b in access:
             if a not in known or b not in known:
                 raise ModelError(f"accessibility pair ({a}, {b}) mentions an unknown world")
-        valuation = {}
-        for (w, p), v in self.valuation.items():
-            if w not in known:
-                raise ModelError(f"valuation mentions unknown world {w!r}")
-            valuation[(w, p)] = as_unit(v)
-        evidence = {}
-        for (w, t, f), v in self.evidence.items():
-            if w not in known:
-                raise ModelError(f"evidence mentions unknown world {w!r}")
-            evidence[(w, t, expand_sugar(f))] = as_unit(v)
+        for what, table in (("valuation", self.valuation), ("evidence", self.evidence)):
+            for w, *_ in table:
+                if w not in known:
+                    raise ModelError(f"{what} mentions unknown world {w!r}")
         object.__setattr__(self, "worlds", worlds)
         object.__setattr__(self, "access", access)
-        object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(self, "evidence", evidence)
+        object.__setattr__(self, "valuation", {k: as_unit(v) for k, v in self.valuation.items()})
+        object.__setattr__(self, "evidence", {(w, t, expand_sugar(f)): as_unit(v)
+                                              for (w, t, f), v in self.evidence.items()})
         object.__setattr__(self, "default_evidence", as_unit(self.default_evidence))
         object.__setattr__(self, "default_valuation", as_unit(self.default_valuation))
 
@@ -83,93 +81,89 @@ class FittingModel:
     def evidence_value(self, world: str, term: Term, body: Formula) -> Fraction:
         return self.evidence.get((world, term, body), self.default_evidence)
 
-    def world_table(self, world: str) -> dict:
-        return {(t, f): v for (w, t, f), v in self.evidence.items() if w == world}
+
+_POINT = "w0"
 
 
 @dataclass(frozen=True, eq=False)
 class MkrtychevModel:
-    """Single-point model; justified formulas take the evidence value directly."""
+    """Single-point model; justified formulas take the evidence value directly.
+    ``point`` is its one-world, no-successor Fitting model, which normalises
+    and checks the tables: with no successor the box is 1 and t(e, 1) = e."""
 
     tnorm: TNormKind
-    valuation: dict      # prop name -> Fraction
-    evidence: dict       # (Term, expanded Formula) -> Fraction
+    valuation: dict      # prop name -> value
+    evidence: dict       # (Term, Formula) -> value
     default_evidence: Fraction = ONE
     default_valuation: Fraction = ZERO
+    point: FittingModel = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "valuation",
-                           {p: as_unit(v) for p, v in self.valuation.items()})
-        object.__setattr__(self, "evidence",
-                           {(t, expand_sugar(f)): as_unit(v)
-                            for (t, f), v in self.evidence.items()})
-        object.__setattr__(self, "default_evidence", as_unit(self.default_evidence))
-        object.__setattr__(self, "default_valuation", as_unit(self.default_valuation))
+        object.__setattr__(self, "point", FittingModel(
+            worlds=(_POINT,), access=frozenset(), tnorm=self.tnorm,
+            valuation={(_POINT, p): v for p, v in self.valuation.items()},
+            evidence={(_POINT, t, a): v for (t, a), v in self.evidence.items()},
+            default_evidence=self.default_evidence,
+            default_valuation=self.default_valuation))
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
+def eval_worlds(model: FittingModel, f: Formula) -> dict:
+    """Truth value of ``f`` at every world, in ``model.worlds`` order: one
+    bottom-up pass over the distinct subformulas of its expansion."""
+    worlds, tk = model.worlds, model.tnorm
+    index = {w: i for i, w in enumerate(worlds)}
+    successors = [[] for _ in worlds]
+    for u, v in model.access:
+        successors[index[u]].append(index[v])
+    root, values = expand_sugar(f), {}
+    for g in subformulas(root):
+        if isinstance(g, Implies):
+            row = [residuum_apply(tk, a, b) for a, b in zip(values[g.left], values[g.right])]
+        elif isinstance(g, Prop):
+            row = [model.value(w, g.name) for w in worlds]
+        elif isinstance(g, Justified):
+            body = values[g.body]
+            row = [tnorm_apply(tk, model.evidence_value(w, g.term, g.body),
+                               min([body[j] for j in succ], default=ONE))
+                   for w, succ in zip(worlds, successors)]
+        elif isinstance(g, StrongConj):
+            row = [tnorm_apply(tk, a, b) for a, b in zip(values[g.left], values[g.right])]
+        elif isinstance(g, TruthConst):
+            row = [g.value] * len(worlds)
+        else:
+            raise ModelError(f"cannot evaluate {type(g).__name__}")
+        values[g] = row
+    return dict(zip(worlds, values[root]))
+
+
 def eval_formula(model: FittingModel, world: str, f: Formula) -> Fraction:
     """Truth value of ``f`` at ``world``; exact rational."""
     if world not in model.worlds:
         raise ModelError(f"world {world!r} not in model")
-    return _eval(model, world, expand_sugar(f))
-
-
-def _eval(m: FittingModel, w: str, f: Formula) -> Fraction:
-    if isinstance(f, TruthConst):
-        return f.value
-    if isinstance(f, Prop):
-        return m.value(w, f.name)
-    if isinstance(f, Implies):
-        return residuum_apply(m.tnorm, _eval(m, w, f.left), _eval(m, w, f.right))
-    if isinstance(f, StrongConj):
-        return tnorm_apply(m.tnorm, _eval(m, w, f.left), _eval(m, w, f.right))
-    if isinstance(f, Justified):
-        return tnorm_apply(m.tnorm,
-                           m.evidence_value(w, f.term, f.body),
-                           _box(m, w, f.body))
-    raise ModelError(f"cannot evaluate {f!r}")
-
-
-def _box(m: FittingModel, w: str, f: Formula) -> Fraction:
-    values = [_eval(m, v, f) for v in m.successors(w)]
-    return min(values) if values else ONE
+    return eval_worlds(model, f)[world]
 
 
 def eval_box(model: FittingModel, world: str, f: Formula) -> Fraction:
     """Infimum of the value of ``f`` over the successors; 1 with none."""
     if world not in model.worlds:
         raise ModelError(f"world {world!r} not in model")
-    return _box(model, world, expand_sugar(f))
-
-
-_POINT = "w0"
-
-
-def _point_view(model: MkrtychevModel) -> FittingModel:
-    """The one-world, no-successor Fitting model of a Mkrtychev model.  With
-    no successor the box is 1 and t(e, 1) = e, so ``t:A`` takes its evidence."""
-    return FittingModel(
-        worlds=(_POINT,), access=frozenset(), tnorm=model.tnorm,
-        valuation={(_POINT, p): v for p, v in model.valuation.items()},
-        evidence={(_POINT, t, a): v for (t, a), v in model.evidence.items()},
-        default_evidence=model.default_evidence,
-        default_valuation=model.default_valuation)
+    return min(map(eval_worlds(model, f).get, model.successors(world)), default=ONE)
 
 
 def eval_mkrtychev(model: MkrtychevModel, f: Formula) -> Fraction:
-    return _eval(_point_view(model), _POINT, expand_sugar(f))
+    return eval_worlds(model.point, f)[_POINT]
 
 
 def is_valid_in_model(model: FittingModel, f: Formula) -> bool:
-    g = expand_sugar(f)
-    return all(_eval(model, w, g) == ONE for w in model.worlds)
+    return all(v == ONE for v in eval_worlds(model, f).values())
 
 
 def crisp_eval(model: FittingModel, world: str, f: Formula) -> Fraction:
-    """Boolean evaluation: implication and the justification clause are classical."""
+    """Boolean evaluation: implication and the justification clause are
+    classical.  Recursive on purpose: the crisp suite's independent oracle."""
     if world not in model.worlds:
         raise ModelError(f"world {world!r} not in model")
     return _crisp(model, world, expand_sugar(f))
@@ -239,103 +233,99 @@ class ModelReport:
         return "\n".join([head] + [f"  {v}" for v in self.violations])
 
 
-def _closure_pairs(model: FittingModel, world: str, relevant: Iterable[Formula]) -> set:
-    pairs = set(model.world_table(world))
-    for f in relevant:
-        pairs.update(justified_pairs(f))
-    return pairs
-
-
 def validate_model(model: FittingModel, config: LogicConfig, cs,
                    relevant: Iterable[Formula] = ()) -> ModelReport:
     """Check admissibility (FE1-FE3), frame demands and crisp range.
 
     ``cs`` is a constant specification; every covered constant/formula
     pair must have evidence 1 everywhere.  ``relevant`` extends the
-    closure with the query formulas about to be evaluated.
+    closure with the query formulas about to be evaluated.  Violations
+    come sorted by world (in model order), kind and message.
     """
     report = ModelReport()
-    relevant = tuple(relevant)
+    tk, default = model.tnorm, model.default_evidence
 
     report.checks += 1
-    if model.tnorm not in config.tnorm_kinds():
+    if tk not in config.tnorm_kinds():
         report.add("tnorm", None,
-                   f"model uses {model.tnorm.code} but {config.name} admits "
+                   f"model uses {tk.code} but {config.name} admits "
                    f"{'/'.join(k.code for k in config.tnorm_kinds())}")
 
     if config.crisp:
-        for (w, p), v in sorted(model.valuation.items(), key=str):
+        for (w, p), v in model.valuation.items():
             report.checks += 1
             if v not in (ZERO, ONE):
                 report.add("crisp", w, f"valuation of {p} is {v}, not Boolean")
-        for (w, t, a), v in sorted(model.evidence.items(), key=str):
+        for (w, t, a), v in model.evidence.items():
             report.checks += 1
             if v not in (ZERO, ONE):
                 report.add("crisp", w,
                            f"evidence for {print_term(t)}:{print_formula(a)} is {v}")
-        if model.default_valuation not in (ZERO, ONE) or model.default_evidence not in (ZERO, ONE):
+        if model.default_valuation not in (ZERO, ONE) or default not in (ZERO, ONE):
             report.add("crisp", None, "default values must be Boolean")
 
-    if "jT" in config.extras:
-        for w in model.worlds:
+    sources = {u for u, _ in model.access}
+    tables: dict = {w: {} for w in model.worlds}
+    for (w, t, a), v in model.evidence.items():
+        tables[w][(t, a)] = v
+    queried, queried_terms = set(), set()
+    for f in relevant:
+        queried.update(justified_pairs(f))
+    for t, _ in queried:
+        queried_terms.update(subterms(t))
+
+    def e(t, a):
+        return f"E({print_term(t)}, {print_formula(a)})"
+
+    for w, table in tables.items():
+        if "jT" in config.extras:
             report.checks += 1
             if (w, w) not in model.access:
                 report.add("frame", w, "reflexivity required but world has no self-loop")
-    if "jD" in config.extras:
-        for w in model.worlds:
+        if "jD" in config.extras:
             report.checks += 1
-            if not model.successors(w):
+            if w not in sources:
                 report.add("frame", w, "seriality required but world has no successor")
-
-    for w in model.worlds:
-        table = model.world_table(w)
-        pairs = _closure_pairs(model, w, relevant)
-        terms = set()
-        for t, _ in pairs:
-            terms.update(subterms(t))
-        terms = sorted(terms, key=print_term)
+        pairs = queried.union(table)
+        terms = queried_terms.union(*(subterms(t) for t, _ in table))
+        partners, least = {}, {}    # per formula: its terms; its least listed s+t value
+        for t, a in pairs:
+            partners.setdefault(a, []).append(t)
+        for (u, a), v in table.items():
+            if isinstance(u, Sum):
+                least[a] = min(least.get(a, v), v)
 
         def value(t, a):
-            return table.get((t, a), model.default_evidence)
+            return table.get((t, a), default)
 
-        tk = model.tnorm
-        for (s, body) in sorted(pairs, key=str):
-            if not isinstance(body, Implies):
-                continue
-            for (t, ante) in sorted(pairs, key=str):
-                if ante != body.left:
-                    continue
-                report.checks += 1
-                need = tnorm_apply(tk, value(s, body), value(t, ante))
-                got = value(App(s, t), body.right)
-                if got < need:
-                    report.add("FE1", w,
-                               f"E({print_term(s)}, {print_formula(body)}) * "
-                               f"E({print_term(t)}, {print_formula(ante)}) = {need} "
-                               f"> E({print_term(App(s, t))}, {print_formula(body.right)}) = {got}")
-        for (s, a) in sorted(pairs, key=str):
+        for s, a in pairs:
             base = value(s, a)
-            for t in terms:
-                for u in (Sum(s, t), Sum(t, s)):
+            if isinstance(a, Implies):
+                for t in partners.get(a.left, ()):
                     report.checks += 1
+                    need = tnorm_apply(tk, base, value(t, a.left))
+                    got = value(App(s, t), a.right)
+                    if got < need:
+                        report.add("FE1", w, f"{e(s, a)} * {e(t, a.left)} = {need} "
+                                             f"> {e(App(s, t), a.right)} = {got}")
+            report.checks += 2 * len(terms)
+            if min(default, least.get(a, default)) < base:    # some s+t, t+s may be below
+                for u in (Sum(x, y) for t in terms for x, y in ((s, t), (t, s))):
                     if value(u, a) < base:
-                        report.add("FE2", w,
-                                   f"E({print_term(s)}, {print_formula(a)}) = {base} "
-                                   f"> E({print_term(u)}, {print_formula(a)}) = {value(u, a)}")
+                        report.add("FE2", w, f"{e(s, a)} = {base} > {e(u, a)} = {value(u, a)}")
             if isinstance(s, Sum):
-                for part in (s.left, s.right):
+                for x in (s.left, s.right):
                     report.checks += 1
-                    if base < value(part, a):
-                        report.add("FE2", w,
-                                   f"E({print_term(part)}, {print_formula(a)}) = {value(part, a)} "
-                                   f"> E({print_term(s)}, {print_formula(a)}) = {base}")
-        for (t, a) in sorted(pairs, key=str):
-            if isinstance(t, Const) and cs is not None and cs.covers(t.name, a, config):
+                    if base < value(x, a):
+                        report.add("FE2", w, f"{e(x, a)} = {value(x, a)} > {e(s, a)} = {base}")
+            if isinstance(s, Const) and cs is not None and cs.covers(s.name, a, config):
                 report.checks += 1
-                if value(t, a) != ONE:
-                    report.add("FE3", w,
-                               f"specified constant {t.name} has evidence "
-                               f"{value(t, a)} != 1 for {print_formula(a)}")
+                if base != ONE:
+                    report.add("FE3", w, f"specified constant {s.name} has evidence "
+                                         f"{base} != 1 for {print_formula(a)}")
+
+    rank = {w: i for i, w in enumerate(model.worlds)}
+    report.violations.sort(key=lambda v: (rank.get(v.world, -1), v.kind, v.message))
     return report
 
 
@@ -343,7 +333,7 @@ def validate_mkrtychev(model: MkrtychevModel, config: LogicConfig, cs,
                        relevant: Iterable[Formula] = ()) -> ModelReport:
     """Single-point models obey the same admissibility conditions; the
     check reuses the Fitting validator over the one-world, no-successor view."""
-    return validate_model(_point_view(model), config, cs, relevant)
+    return validate_model(model.point, config, cs, relevant)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +360,29 @@ def model_to_dict(model: FittingModel) -> dict:
     }
 
 
+#: The documented shape of each model-file field: a JSON type, [item],
+#: (item, item) for a list of that length, or {str: value}.
+_SHAPE = {"worlds": [str], "access": [(str, str)], "tnorm": str, "val": {str: {str: str}},
+          "evid": {str: [{str: str}]}, "default_evid": str, "default_val": str}
+
+
+def _fits(value, shape) -> bool:
+    if isinstance(shape, type):
+        return isinstance(value, shape)
+    if isinstance(shape, dict):
+        return isinstance(value, dict) and all(_fits(v, shape[str]) for v in value.values())
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(_fits(v, shape[0]) for v in value)
+    return isinstance(value, list) and len(value) == len(shape) and all(map(_fits, value, shape))
+
+
 def model_from_dict(data: dict, config: Optional[LogicConfig] = None) -> FittingModel:
+    """The model a model file describes; a ``ModelError`` names a malformed field."""
+    if not isinstance(data, dict):
+        raise ModelError("a model file must hold a JSON object")
+    for name, shape in _SHAPE.items():
+        if name in data and not _fits(data[name], shape):
+            raise ModelError(f"model file field {name!r} does not have the documented shape")
     try:
         worlds = tuple(data["worlds"])
         access = frozenset(tuple(pair) for pair in data.get("access", []))
@@ -397,7 +409,11 @@ def model_from_dict(data: dict, config: Optional[LogicConfig] = None) -> Fitting
 
 def load_model(path: str, config: Optional[LogicConfig] = None) -> FittingModel:
     with open(path, "r", encoding="utf-8") as handle:
-        return model_from_dict(json.load(handle), config)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ModelError("model file nests too deeply") from None
+    return model_from_dict(data, config)
 
 
 def save_model(model: FittingModel, path: str) -> None:

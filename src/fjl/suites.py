@@ -23,7 +23,7 @@ from .lifting import degree_interval, lift
 from .logics import LogicConfig, active_schemes
 from .models import (
     FittingModel, crisp_eval, embed_rpl_valuation, eval_formula, eval_mkrtychev,
-    validate_model,
+    eval_worlds, validate_model,
 )
 from .parser import parse_formula
 from .proofs import (
@@ -219,8 +219,8 @@ def _theorem_suite(name: str, config: LogicConfig, instances_fn,
             report.fail(f"model@{seed + k}", "generated model failed validation")
             continue
         for label, conclusion in conclusions:
-            for w in model.worlds:
-                if eval_formula(model, w, conclusion) != ONE:
+            for w, value in eval_worlds(model, conclusion).items():
+                if value != ONE:
                     report.fail(f"{label}@{seed + k}",
                                 f"value < 1 at {w}: {print_formula(conclusion)}")
     return report
@@ -306,8 +306,7 @@ def soundness_suite(count: int = 60, seed: int = 0,
                 continue
             for name, inst in instances:
                 report.cases += 1
-                for w in model.worlds:
-                    value = eval_formula(model, w, inst)
+                for w, value in eval_worlds(model, inst).items():
                     if value != ONE:
                         report.fail(f"{logic_name}/{name}@{seed + k}",
                                     f"axiom instance {print_formula(inst)} = {value} at {w}")
@@ -315,10 +314,9 @@ def soundness_suite(count: int = 60, seed: int = 0,
             report.cases += 1
             a = expand_sugar(random_formula(rng, config, 2))
             b = expand_sugar(random_formula(rng, config, 2))
+            va, vab, vb = (eval_worlds(model, g) for g in (a, Implies(a, b), b))
             for w in model.worlds:
-                if (eval_formula(model, w, a) == ONE
-                        and eval_formula(model, w, Implies(a, b)) == ONE
-                        and eval_formula(model, w, b) != ONE):
+                if va[w] == ONE and vab[w] == ONE and vb[w] != ONE:
                     report.fail(f"{logic_name}/MP@{seed + k}", f"not preserved at {w}")
     return report
 
@@ -340,13 +338,13 @@ def graded_semantics_suite(count: int = 100, seed: int = 0, **_) -> SuiteReport:
         if not validate_model(model, _RPLJ, cs, goals).ok:
             report.fail(f"seed {seed + k}", "generated model failed validation")
             continue
-        for w in model.worlds:
+        justified = eval_worlds(model, Justified(t, a))
+        form_values = [eval_worlds(model, form) for form in forms]
+        for w, value in justified.items():
             report.cases += 1
-            value = eval_formula(model, w, Justified(t, a))
             relations = (value >= r, value <= r, value == r)
-            for form, expected in zip(forms, relations):
-                holds = eval_formula(model, w, form) == ONE
-                if holds != expected:
+            for form, values, expected in zip(forms, form_values, relations):
+                if (values[w] == ONE) != expected:
                     report.fail(f"seed {seed + k}",
                                 f"{print_formula(form)} mismatch at {w}: "
                                 f"value(t:A)={value}")
@@ -391,8 +389,7 @@ def uncertainty_suite(count: int = 100, seed: int = 0, **_) -> SuiteReport:
             continue
         for name, f in principles:
             report.cases += 1
-            for w in model.worlds:
-                value = eval_formula(model, w, f)
+            for w, value in eval_worlds(model, f).items():
                 if value != ONE:
                     report.fail(f"{name}@{seed + k}",
                                 f"{print_formula(f)} = {value} at {w}")
@@ -407,30 +404,23 @@ def frames_suite(count: int = 60, seed: int = 0, **_) -> SuiteReport:
     cs = TotalCS()
     jt_config = LogicConfig.from_name("RPLJ", extras=("jT",))
     jd_config = LogicConfig.from_name("RPLJ", extras=("jD",))
+    jd = expand_sugar(parse_formula("~t:#0"))
     for k in range(count):
         rng = random.Random(seed + k)
         t = random_term(rng, 1)
         a = random_formula(rng, _RPLJ, 2)
         jt = expand_sugar(Implies(Justified(t, a), a))
-        model = random_model(seed + k, ModelParams(frame="reflexive"), jt_config, cs)
-        report.cases += 1
-        if not validate_model(model, jt_config, cs, [jt]).ok:
-            report.fail(f"jT@{seed + k}", "reflexive model failed validation")
-        else:
-            for w in model.worlds:
-                value = eval_formula(model, w, jt)
+        for label, config, goal, offset, frame, law in (
+                ("jT", jt_config, jt, 0, "reflexive", "factivity"),
+                ("jD", jd_config, jd, 10_000, "serial", "consistency")):
+            model = random_model(offset + seed + k, ModelParams(), config, cs)
+            report.cases += 1
+            if not validate_model(model, config, cs, [goal]).ok:
+                report.fail(f"{label}@{seed + k}", f"{frame} model failed validation")
+                continue
+            for w, value in eval_worlds(model, goal).items():
                 if value != ONE:
-                    report.fail(f"jT@{seed + k}", f"factivity = {value} at {w}")
-        jd = expand_sugar(parse_formula("~t:#0"))
-        model = random_model(10_000 + seed + k, ModelParams(frame="serial"), jd_config, cs)
-        report.cases += 1
-        if not validate_model(model, jd_config, cs, [jd]).ok:
-            report.fail(f"jD@{seed + k}", "serial model failed validation")
-        else:
-            for w in model.worlds:
-                value = eval_formula(model, w, jd)
-                if value != ONE:
-                    report.fail(f"jD@{seed + k}", f"consistency = {value} at {w}")
+                    report.fail(f"{label}@{seed + k}", f"{law} = {value} at {w}")
     # dropping the frame property admits countermodels
     budget = SearchBudget(max_worlds=3, max_denominator=12, trials=300, seed=seed)
     for label, text in (("jT", "t:p -> p"), ("jD", "~t:#0")):
@@ -477,9 +467,8 @@ def crisp_suite(**_) -> SuiteReport:
                             model = FittingModel(
                                 worlds=worlds, access=access, tnorm=kind,
                                 valuation=valuation, evidence=evidence)
-                            for w in worlds:
+                            for w, fuzzy in eval_worlds(model, g).items():
                                 report.cases += 1
-                                fuzzy = eval_formula(model, w, g)
                                 classical = crisp_eval(model, w, g)
                                 if fuzzy != classical:
                                     report.fail(print_formula(f),

@@ -35,8 +35,8 @@ _RATIONAL_RE = re.compile(r"^\d+(/\d+)?$")
 
 def as_unit(value) -> Fraction:
     """Coerce ``value`` to a Fraction and require it to lie in [0, 1]."""
-    q = Fraction(value)
-    if q < ZERO or q > ONE:
+    q = value if type(value) is Fraction else Fraction(value)
+    if not 0 <= q.numerator <= q.denominator:
         raise ValueError(f"truth value {q} outside [0, 1]")
     return q
 
@@ -333,7 +333,7 @@ def expand_sugar(f: Formula) -> Formula:
     expansion, so it is expanded once while it lives.
     """
     if f._expanded is None:
-        for g in _postorder(f, _unexpanded)[0]:
+        for g in _postorder(f, _unexpanded):
             rule = _EXPAND.get(type(g))
             if rule is None:
                 raise TypeError(f"not a formula: {g!r}")
@@ -358,11 +358,10 @@ def is_primitive(f: Formula) -> bool:
 _EXIT = object()
 
 
-def _postorder(root, children) -> tuple[list, dict]:
+def _postorder(root, children) -> list:
     """The distinct nodes reached from ``root`` through ``children``, each
-    after its children, and how often each is a child (``root`` once
-    more, for the caller)."""
-    order, uses, entered, stack = [], {root: 1}, set(), [root]
+    after its children."""
+    order, entered, stack = [], set(), [root]
     while stack:
         g = stack.pop()
         if g is _EXIT:
@@ -370,20 +369,18 @@ def _postorder(root, children) -> tuple[list, dict]:
         elif g not in entered:
             entered.add(g)
             stack += (g, _EXIT)
-            for c in children(g):
-                uses[c] = uses.get(c, 0) + 1
-                stack.append(c)
-    return order, uses
+            stack += children(g)
+    return order
 
 
 def subterms(t: Term) -> Iterator[Term]:
     """The distinct subterms of ``t``, ``t`` included."""
-    return iter(_postorder(t, methodcaller("_nodes"))[0])
+    return iter(_postorder(t, methodcaller("_nodes")))
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
     """The distinct subformulas of ``f``, ``f`` included; terms are not entered."""
-    return iter(_postorder(f, methodcaller("_operands"))[0])
+    return iter(_postorder(f, methodcaller("_operands")))
 
 
 def justified_pairs(f: Formula) -> set:
@@ -463,7 +460,10 @@ def _text(g, text: dict) -> str:
 def _render(root) -> str:
     """The text of ``root``: each distinct node is rendered once, after its
     children, and a child's text is dropped after its last use."""
-    order, uses = _postorder(root, methodcaller("_nodes"))
+    order, uses = _postorder(root, methodcaller("_nodes")), {}
+    for g in order:
+        for c in g._nodes():
+            uses[c] = uses.get(c, 0) + 1
     text = {}
     for g in order:
         text[g] = _text(g, text)

@@ -65,6 +65,40 @@ def test_validate_model_command(capsys, model_file, tmp_path):
     assert "FE1" in out
 
 
+
+def test_eval_deep_formula(capsys, model_file):
+    assert main(["eval", "--model", model_file, "--formula", "~" * 1000 + "p"]) == 0
+    assert capsys.readouterr().out.strip() == "w0: 7/10"
+
+
+def test_validate_model_deep_evidence_formula(capsys, tmp_path):
+    data = {"worlds": ["w0"], "tnorm": "L",
+            "evid": {"w0": [{"term": "t", "formula": "~" * 900 + "p", "value": "1/2"}]}}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate-model", "--model", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("valid")
+
+
+def test_searches_follow_frame_flags(capsys):
+    assert main(["countermodel", "--jt", "--formula", "t:p -> p"]) == 1
+    assert "no countermodel found" in capsys.readouterr().out
+    assert main(["degree", "--jd", "--formula", "p"]) == 0
+    assert capsys.readouterr().out.strip() == "[0, 0]"
+
+
+@pytest.mark.parametrize("data, field", [
+    ([1, 2], "JSON object"),
+    ({"worlds": "w0", "tnorm": "L"}, "'worlds'"),
+    ({"worlds": ["w0"], "tnorm": "L", "evid": []}, "'evid'"),
+])
+def test_model_file_of_wrong_shape_is_an_error(capsys, tmp_path, data, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["eval", "--model", str(path), "--formula", "p"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
 def test_check_proof_command(capsys, tmp_path):
     proof = tmp_path / "proof.txt"
     proof.write_text(

@@ -35,13 +35,16 @@ def test_generated_models_validate(logic):
 
 
 def test_frame_constraints_enforced():
+    jt = LogicConfig.from_name("RPLJ", extras=("jT",))
+    jd = LogicConfig.from_name("RPLJ", extras=("jD",))
+    both = LogicConfig.from_name("RPLJ", extras=("jT", "jD"))
     for seed in range(20):
-        reflexive = random_model(seed, ModelParams(frame="reflexive"), RPLJ, TotalCS())
+        reflexive = random_model(seed, ModelParams(), jt, TotalCS())
         assert all((w, w) in reflexive.access for w in reflexive.worlds)
-        serial = random_model(seed, ModelParams(frame="serial"), RPLJ, TotalCS())
+        serial = random_model(seed, ModelParams(), jd, TotalCS())
         assert all(serial.successors(w) for w in serial.worlds)
-    with pytest.raises(ValueError):
-        random_model(0, ModelParams(frame="euclidean"), RPLJ, TotalCS())
+        assert validate_model(random_model(seed, ModelParams(), both, TotalCS()),
+                              both, TotalCS()).ok
 
 
 def test_tnorm_pinning():

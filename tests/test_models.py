@@ -1,18 +1,22 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from conftest import terms, unit_rationals
 from fjl.logics import LogicConfig
 from fjl.models import (
     FittingModel, MkrtychevModel, ModelError, crisp_eval, embed_rpl_valuation,
-    eval_box, eval_formula, eval_mkrtychev, is_valid_in_model, load_model,
-    model_from_dict, model_to_dict, validate_model,
+    eval_box, eval_formula, eval_mkrtychev, eval_worlds, is_valid_in_model,
+    load_model, model_from_dict, model_to_dict, validate_model,
 )
 from fjl.parser import parse_formula
 from fjl.proofs import EMPTY_CS, FiniteCS, TotalCS
 from fjl.syntax import (
-    App, Const, GradedExact, Implies, Justified, Prop, Sum, TruthConst, Var,
-    expand_sugar,
+    App, Const, GradedAtLeast, GradedAtMost, GradedExact, Implies, Justified,
+    Neg, ONE, Prop, StrongConj, Sum, TruthConst, Var, WeakConj, WeakDisj,
+    ZERO, expand_sugar, justified_pairs, print_formula, print_term,
 )
 from fjl.tnorms import TNormKind
 
@@ -255,3 +259,95 @@ def test_weak_connectives_evaluate_to_min_and_max():
             va, vb = eval_formula(m, w, a), eval_formula(m, w, b)
             assert eval_formula(m, w, WeakConj(a, b)) == min(va, vb)
             assert eval_formula(m, w, WeakDisj(a, b)) == max(va, vb)
+
+
+# ---------------------------------------------------------------------------
+# An independent evaluator: each clause read off the semantics, recursively,
+# with its own t-norms and residua.
+
+_NAIVE = {
+    TNormKind.LUKASIEWICZ: (lambda a, b: max(ZERO, a + b - 1), lambda a, b: 1 - a + b),
+    TNormKind.GOEDEL: (min, lambda a, b: b),
+    TNormKind.PRODUCT: (lambda a, b: a * b, lambda a, b: b / a),
+}
+
+
+def _naive_value(m: FittingModel, w: str, f) -> Fraction:
+    """Value of the primitive formula ``f`` at ``w``; t:A is E(w, t, A)
+    times the least value of A at a successor, 1 at a dead end."""
+    tnorm, residuum = _NAIVE[m.tnorm]
+    if isinstance(f, TruthConst):
+        return f.value
+    if isinstance(f, Prop):
+        return m.valuation.get((w, f.name), m.default_valuation)
+    if isinstance(f, Implies):
+        a, b = _naive_value(m, w, f.left), _naive_value(m, w, f.right)
+        return ONE if a <= b else residuum(a, b)
+    if isinstance(f, StrongConj):
+        return tnorm(_naive_value(m, w, f.left), _naive_value(m, w, f.right))
+    if isinstance(f, Justified):
+        evidence = m.evidence.get((w, f.term, f.body), m.default_evidence)
+        return tnorm(evidence, _naive_box(m, w, f.body))
+    raise ValueError(f"not primitive: {type(f).__name__}")
+
+
+def _naive_box(m: FittingModel, w: str, f) -> Fraction:
+    return min([_naive_value(m, v, f) for (u, v) in m.access if u == w], default=ONE)
+
+
+_ATOMS = st.sampled_from([Prop("p"), Prop("q"), Prop("r")]) | st.builds(TruthConst, unit_rationals())
+
+
+def _formulas(depth: int):
+    """Formulas of depth at most ``depth``, sugar and justified ones included."""
+    if depth == 0:
+        return _ATOMS
+    sub = _formulas(depth - 1)
+    return st.one_of(
+        _ATOMS,
+        st.builds(Implies, sub, sub),
+        st.builds(StrongConj, sub, sub),
+        st.builds(Justified, terms, sub),
+        st.builds(Neg, sub),
+        st.builds(WeakConj, sub, sub),
+        st.builds(WeakDisj, sub, sub),
+        st.builds(GradedAtLeast, unit_rationals(), terms, sub),
+        st.builds(GradedAtMost, unit_rationals(), terms, sub),
+    )
+
+
+#: Model values, drawn uniformly so that interior values are common.
+_VALUES = st.sampled_from(sorted({Fraction(n, d) for d in range(1, 7) for n in range(d + 1)}))
+
+
+@st.composite
+def _models_with_formula(draw):
+    """A formula of depth <= 4 and a model of 1-3 worlds with arbitrary
+    access, dead ends included, and evidence for some of its t:A pairs."""
+    f = draw(_formulas(4))
+    worlds = tuple(f"w{i}" for i in range(draw(st.integers(1, 3))))
+    access = draw(st.frozensets(st.sampled_from([(a, b) for a in worlds for b in worlds])))
+    valuation = {(w, p): draw(_VALUES) for w in worlds for p in "pqr"}
+    evidence = {}
+    for t, a in sorted(justified_pairs(f), key=lambda pair: (print_term(pair[0]), print_formula(pair[1]))):
+        for w in worlds:
+            value = draw(st.none() | _VALUES)
+            if value is not None:
+                evidence[(w, t, a)] = value
+    model = FittingModel(worlds=worlds, access=access,
+                         tnorm=draw(st.sampled_from(list(TNormKind))),
+                         valuation=valuation, evidence=evidence,
+                         default_evidence=draw(_VALUES), default_valuation=draw(_VALUES))
+    return model, f
+
+
+@settings(max_examples=120, deadline=None)
+@given(_models_with_formula())
+def test_evaluators_agree_with_naive_recursion(case):
+    m, f = case
+    g = expand_sugar(f)
+    expected = {w: _naive_value(m, w, g) for w in m.worlds}
+    assert eval_worlds(m, f) == expected
+    for w in m.worlds:
+        assert eval_formula(m, w, f) == expected[w]
+        assert eval_box(m, w, f) == _naive_box(m, w, g)

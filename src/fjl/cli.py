@@ -13,7 +13,7 @@ import os
 import sys
 
 from .generate import SearchBudget, find_countermodel
-from .lifting import degree_interval, internalize, lift
+from .lifting import InputRejected, degree_interval, internalize, lift
 from .logics import LogicConfig
 from .models import (
     eval_formula, eval_worlds, load_model, model_to_dict, save_model, validate_model,
@@ -146,10 +146,14 @@ def cmd_internalize(args) -> int:
     cs = _load_cs(args.cs, config)
     with open(args.proof, "r", encoding="utf-8") as handle:
         derivation = parse_derivation(handle.read(), config)
-    if derivation.hypotheses:
-        term, lifted = lift(derivation, cs, config)
-    else:
-        term, lifted = internalize(derivation, cs, config)
+    try:
+        if derivation.hypotheses:
+            term, lifted = lift(derivation, cs, config)
+        else:
+            term, lifted = internalize(derivation, cs, config)
+    except InputRejected as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     text = format_derivation(lifted)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

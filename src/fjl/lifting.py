@@ -5,7 +5,10 @@ justification term t(x_1..x_n) plus a derivation of t:{==1}F from the
 graded hypotheses x_i:{==1}A_i, following the standard recursion:
 axioms and specification entries become constants, hypotheses become
 variables, modus ponens becomes term application routed through the
-graded justified modus ponens expansion.
+graded justified modus ponens expansion.  The whole input is checked,
+but only the dependency cone of its last step is lifted: steps off the
+cone cannot reach the output, so the result depends on the cone alone,
+and ``TotalCS`` numbers new constants in cone order.
 
 Degree estimation is deliberately bounded: the provability lower bound
 forward-chains graded facts under the macro-expanded rules, and the
@@ -39,6 +42,10 @@ class DegreeError(ValueError):
     pass
 
 
+class InputRejected(ProofError):
+    """The kernel rejects the derivation handed to ``lift``."""
+
+
 def _fresh_variables(d: Derivation, count: int) -> list:
     used = set()
     for f in list(d.hypotheses) + [s.formula for s in d.steps]:
@@ -62,7 +69,9 @@ def lift(d: Derivation, cs: ConstantSpecification,
 
     Requires the graded Pavelka system and a schematic-total constant
     specification, which guarantees a constant for every axiom
-    instance and every specification entry.
+    instance and every specification entry.  Raises ``InputRejected``
+    if the kernel rejects ``d``; lifts only the cone of its last step,
+    with fresh variables chosen from the hypotheses and that cone.
     """
     config = config or LogicConfig()
     if not config.graded_necessitation:
@@ -72,7 +81,8 @@ def lift(d: Derivation, cs: ConstantSpecification,
                          "a finite one cannot cover every axiom instance")
     report = check_derivation(d, config, cs)
     if not report.ok:
-        raise ProofError(f"input derivation rejected: {report.summary()}")
+        raise InputRejected(f"input derivation rejected: {report.summary()}")
+    d = extract_subderivation(d, len(d.steps) - 1)
 
     variables = _fresh_variables(d, len(d.hypotheses))
     graded_hyps = [GradedExact(ONE, variables[i], d.hypotheses[i])

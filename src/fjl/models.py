@@ -344,10 +344,14 @@ def model_to_dict(model: FittingModel) -> dict:
     for (w, p), v in sorted(model.valuation.items()):
         val.setdefault(w, {})[p] = format_rational(v)
     evid: dict = {}
-    for (w, t, a), v in sorted(model.evidence.items(), key=str):
+    # Sorted by world, then by the printed texts, which are iterative and
+    # unique per node; a node's repr recurses and fails on deep formulas.
+    rows = sorted((w, print_term(t), print_formula(a), v)
+                  for (w, t, a), v in model.evidence.items())
+    for w, term, formula, v in rows:
         evid.setdefault(w, []).append({
-            "term": print_term(t),
-            "formula": print_formula(a),
+            "term": term,
+            "formula": formula,
             "value": format_rational(v),
         })
     return {

@@ -26,7 +26,7 @@ from .logics import (
 from .parser import parse_formula
 from .syntax import (
     App, Const, FALSUM, Formula, GradedExact, Implies, Justified, ONE,
-    StrongConj, Sum, Term, TruthConst, VERUM, expand_sugar, print_formula,
+    StrongConj, Sum, Term, TruthConst, VERUM, expand_sugar, print_formula, print_many,
 )
 from .tnorms import luka_tnorm
 
@@ -183,6 +183,7 @@ class TotalCS:
     def __init__(self, prefix: str = "c_"):
         self._prefix = prefix
         self._assigned: dict = {}
+        self._formulas: dict = {}
         self._counter = 0
         self._lock = threading.Lock()
 
@@ -203,7 +204,14 @@ class TotalCS:
                 self._counter += 1
                 name = f"{self._prefix}{self._counter}"
                 self._assigned[key] = name
+                self._formulas[name] = key
             return name
+
+    def formula_for(self, constant: str) -> Formula:
+        """The expanded formula ``constant_for`` assigned ``constant``;
+        ``KeyError`` if it assigned it none."""
+        with self._lock:
+            return self._formulas[constant]
 
 
 ConstantSpecification = Union[FiniteCS, TotalCS]
@@ -926,8 +934,11 @@ _RULE_WORDS = ("AX", "HYP", "MP", "IAN", "GIAN")
 
 
 def format_derivation(d: Derivation) -> str:
-    lines = [f"HYP {print_formula(h)}" for h in d.hypotheses]
-    for idx, step in enumerate(d.steps, start=1):
+    """The derivation file of ``d``; all formulas are printed in one
+    shared walk, so a subformula common to many steps is rendered once."""
+    texts = print_many(list(d.hypotheses) + [step.formula for step in d.steps])
+    lines = [f"HYP {text}" for text in texts[:len(d.hypotheses)]]
+    for idx, (step, text) in enumerate(zip(d.steps, texts[len(d.hypotheses):]), start=1):
         rule = step.rule
         if isinstance(rule, Ax):
             by = f"AX {rule.scheme}"
@@ -939,7 +950,7 @@ def format_derivation(d: Derivation) -> str:
             by = "IAN"
         else:
             by = "GIAN"
-        lines.append(f"STEP {idx} {print_formula(step.formula)} BY {by}")
+        lines.append(f"STEP {idx} {text} BY {by}")
     return "\n".join(lines) + "\n"
 
 

@@ -25,7 +25,7 @@ import weakref
 from fractions import Fraction
 from functools import partial
 from operator import methodcaller
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -102,7 +102,7 @@ class _Node:
         return f"{type(self).__name__}({', '.join(fields)})"
 
     def __str__(self) -> str:
-        return _render(self)
+        return print_many((self,))[0]
 
     def _nodes(self) -> tuple:
         """The child nodes."""
@@ -333,7 +333,7 @@ def expand_sugar(f: Formula) -> Formula:
     expansion, so it is expanded once while it lives.
     """
     if f._expanded is None:
-        for g in _postorder(f, _unexpanded):
+        for g in _postorder(f, _unexpanded, set()):
             rule = _EXPAND.get(type(g))
             if rule is None:
                 raise TypeError(f"not a formula: {g!r}")
@@ -358,10 +358,10 @@ def is_primitive(f: Formula) -> bool:
 _EXIT = object()
 
 
-def _postorder(root, children) -> list:
-    """The distinct nodes reached from ``root`` through ``children``, each
-    after its children."""
-    order, entered, stack = [], set(), [root]
+def _postorder(root, children, entered: set) -> list:
+    """The distinct nodes reached from ``root`` through ``children`` and
+    not in ``entered``, each after its children; ``entered`` gains them."""
+    order, stack = [], [root]
     while stack:
         g = stack.pop()
         if g is _EXIT:
@@ -375,12 +375,12 @@ def _postorder(root, children) -> list:
 
 def subterms(t: Term) -> Iterator[Term]:
     """The distinct subterms of ``t``, ``t`` included."""
-    return iter(_postorder(t, methodcaller("_nodes")))
+    return iter(_postorder(t, methodcaller("_nodes"), set()))
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
     """The distinct subformulas of ``f``, ``f`` included; terms are not entered."""
-    return iter(_postorder(f, methodcaller("_operands")))
+    return iter(_postorder(f, methodcaller("_operands"), set()))
 
 
 def justified_pairs(f: Formula) -> set:
@@ -457,27 +457,42 @@ def _text(g, text: dict) -> str:
     return f"{left}{_SYMBOL[cls]}{right}"
 
 
-def _render(root) -> str:
-    """The text of ``root``: each distinct node is rendered once, after its
-    children, and a child's text is dropped after its last use."""
-    order, uses = _postorder(root, methodcaller("_nodes")), {}
-    for g in order:
-        for c in g._nodes():
-            uses[c] = uses.get(c, 0) + 1
-    text = {}
-    for g in order:
-        text[g] = _text(g, text)
-        for c in g._nodes():
-            uses[c] -= 1
-            if not uses[c]:
-                del text[c]
-    return text[root]
+def print_many(roots: Sequence) -> list:
+    """The texts of the terms and formulas ``roots``, in order.
+
+    One post-order walk with one ``entered`` set covers every root, so
+    each distinct node is rendered once, after its children, however
+    many roots share it.  A text is dropped after its last use, as a
+    child or as a root.
+    """
+    entered: set = set()
+    walks = [_postorder(root, methodcaller("_nodes"), entered) for root in roots]
+    uses: dict = {}
+    for root, walk in zip(roots, walks):
+        uses[root] = uses.get(root, 0) + 1
+        for g in walk:
+            for c in g._nodes():
+                uses[c] = uses.get(c, 0) + 1
+    text: dict = {}
+    out = []
+    for root, walk in zip(roots, walks):
+        for g in walk:
+            text[g] = _text(g, text)
+            for c in g._nodes():
+                uses[c] -= 1
+                if not uses[c]:
+                    del text[c]
+        out.append(text[root])
+        uses[root] -= 1
+        if not uses[root]:
+            del text[root]
+    return out
 
 
 def print_term(t: Term) -> str:
-    return _render(t)
+    return print_many((t,))[0]
 
 
 def print_formula(f: Formula) -> str:
     """Render with minimal parenthesization; inverse of the parser."""
-    return _render(f)
+    return print_many((f,))[0]

@@ -132,6 +132,23 @@ def test_internalize_command(capsys, tmp_path):
     assert main(["check-proof", "--cs", "total", str(out)]) == 0
 
 
+def test_internalize_exit_codes(capsys, tmp_path):
+    # A rejected derivation is rejected input (1); a logic without graded
+    # necessitation or a finite specification is a usage error (2).
+    bad = tmp_path / "bad.txt"
+    bad.write_text("STEP 1 p BY AX BL2\n")
+    assert main(["internalize", "--cs", "total", str(bad)]) == 1
+    assert "rejected" in capsys.readouterr().err
+    good = tmp_path / "good.txt"
+    good.write_text("STEP 1 (p & q) -> p BY AX BL2\n")
+    assert main(["internalize", "--logic", "BLJ", "--cs", "total", str(good)]) == 2
+    assert "graded necessitation" in capsys.readouterr().err
+    cs = tmp_path / "cs.txt"
+    cs.write_text("c1:{==1}((p & q) -> p)\n")
+    assert main(["internalize", "--cs", str(cs), str(good)]) == 2
+    assert "schematic-total" in capsys.readouterr().err
+
+
 def test_degree_command_json(capsys, tmp_path):
     assert main(["--json", "degree", "--hyp", "#1/2 -> p", "--formula", "p",
                  "--trials", "10", "--witness-dir", str(tmp_path)]) == 0

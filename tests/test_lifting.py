@@ -5,7 +5,7 @@ import pytest
 
 from fjl.generate import SearchBudget, random_derivation
 from fjl.lifting import (
-    DegreeError, DegreeInterval, degree_interval, internalize, lift,
+    DegreeError, DegreeInterval, InputRejected, degree_interval, internalize, lift,
     provability_degree_lb, truth_degree_ub,
 )
 from fjl.logics import LogicConfig
@@ -13,11 +13,11 @@ from fjl.models import eval_formula, validate_model
 from fjl.parser import parse_formula
 from fjl.proofs import (
     Ax, Derivation, DerivationBuilder, FiniteCS, Gian, Hyp, MP, ProofError,
-    Step, TotalCS, check_derivation,
+    Step, TotalCS, check_derivation, extract_subderivation, format_derivation,
 )
 from fjl.syntax import (
     App, Const, GradedExact, Implies, Prop, TruthConst, Var, expand_sugar,
-    term_dag_size,
+    subterms, term_dag_size,
 )
 
 RPLJ = LogicConfig.from_name("RPLJ")
@@ -84,9 +84,11 @@ def test_lift_requires_graded_system():
 
 
 def test_lift_rejects_bad_input():
-    d = Derivation((), (Step(p, Ax("BL2")),))
-    with pytest.raises(ProofError):
-        lift(d, fresh_cs(), RPLJ)
+    bad = Step(p, Ax("BL2"))
+    # the whole input is checked, not only the cone that is lifted
+    for steps in ((bad,), (bad, Step(parse_formula("(p & q) -> p"), Ax("BL2")))):
+        with pytest.raises(InputRejected):
+            lift(Derivation((), steps), fresh_cs(), RPLJ)
 
 
 def test_internalize_axiom():
@@ -219,3 +221,85 @@ def test_degree_interval_invariant_guard():
     d = Derivation((), (Step(parse_formula("#0 -> p"), Ax("BL7")),))
     with pytest.raises(DegreeError):
         DegreeInterval(Fraction(2, 3), Fraction(1, 3), d, None)
+
+
+# ---------------------------------------------------------------------------
+# Only the conclusion's cone is lifted
+
+def _cone(d):
+    return extract_subderivation(d, len(d.steps) - 1)
+
+
+def test_lift_output_depends_only_on_the_cone():
+    compared = 0
+    for seed in range(100):
+        d = random_derivation(random.Random(seed), RPLJ, TotalCS(), moves=6)
+        if len(format_derivation(_cone(d))) >= 1_000:
+            continue
+        full = format_derivation(lift(d, TotalCS())[1])
+        assert full == format_derivation(lift(_cone(d), TotalCS())[1]), f"seed {seed}"
+        compared += 1
+    assert compared >= 50
+
+
+def test_off_cone_steps_take_no_constant_and_no_variable_name():
+    # Steps 1 and 2 are off the cone: an axiom, which the whole input
+    # would number first, and a formula that uses the name x1, which the
+    # whole input would keep from the hypothesis.
+    axiom = parse_formula("(q & p) -> q")
+    d = Derivation(
+        (parse_formula("q & p"),),
+        (Step(parse_formula("(p & q) -> p"), Ax("BL2")),
+         Step(parse_formula("(x1:p & q) -> x1:p"), Ax("BL2")),
+         Step(parse_formula("q & p"), Hyp(0)),
+         Step(axiom, Ax("BL2")),
+         Step(q, MP(2, 3))))
+    cs = TotalCS()
+    term, lifted = lift(d, cs, RPLJ)
+    assert term == App(Const("c_1"), Var("x1"))
+    assert cs.formula_for("c_1") is expand_sugar(axiom)
+    assert format_derivation(lifted) == format_derivation(lift(_cone(d), TotalCS())[1])
+    assert check_derivation(lifted, RPLJ, cs).ok
+
+
+# ---------------------------------------------------------------------------
+# Term-level oracle: what the lifted term justifies, computed from the
+# term alone, independently of the builder and the output derivation.
+
+def _justified_by(term, lifted, cs):
+    """For each subterm, the expanded formulas it justifies: x_i the i-th
+    hypothesis, a constant the formula the specification assigned it,
+    s.t every B with A -> B from s and A from t."""
+    variables = {}
+    for h in lifted.hypotheses:
+        # expand(x:{==1}A) is (#1 -> x:A) & ((#1 -> x:A) -> (x:A -> #1))
+        justified = h.left.right
+        variables[justified.term] = justified.body
+    formulas = {}
+    for s in subterms(term):
+        if isinstance(s, Var):
+            formulas[s] = {variables[s]}
+        elif isinstance(s, Const):
+            formulas[s] = {expand_sugar(cs.formula_for(s.name))}
+        elif isinstance(s, App):
+            antecedents = formulas[s.right]
+            formulas[s] = {f.right for f in formulas[s.left]
+                           if isinstance(f, Implies) and f.left in antecedents}
+        else:
+            formulas[s] = formulas[s.left] | formulas[s.right]
+    return formulas[term]
+
+
+def test_lifted_term_justifies_the_conclusion():
+    inputs = [random_derivation(random.Random(seed), RPLJ, TotalCS(), moves=6)
+              for seed in range(50)]
+    inputs.append(Derivation(
+        (parse_formula("p -> q"), p),
+        (Step(parse_formula("p -> q"), Hyp(0)), Step(p, Hyp(1)), Step(q, MP(1, 0)))))
+    with_app = 0
+    for d in inputs:
+        cs = fresh_cs()
+        term, lifted = lift(d, cs, RPLJ)
+        assert expand_sugar(d.conclusion) in _justified_by(term, lifted, cs)
+        with_app += isinstance(term, App)
+    assert with_app >= 5

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -351,3 +352,36 @@ def test_evaluators_agree_with_naive_recursion(case):
     for w in m.worlds:
         assert eval_formula(m, w, f) == expected[w]
         assert eval_box(m, w, f) == _naive_box(m, w, g)
+
+
+def _negations(n):
+    f = Prop("p")
+    for _ in range(n):
+        f = Neg(f)
+    return f
+
+
+def test_model_with_deep_evidence_formula_saves_and_round_trips(tmp_path):
+    from fjl.models import save_model
+
+    def model(deep):
+        return FittingModel(
+            worlds=("w0",), access=frozenset(), tnorm=L, valuation={},
+            evidence={("w0", Var("t"), deep): Fraction(1, 2),
+                      ("w0", Var("s"), deep): Fraction(1, 3)})
+
+    # Evidence formulas are stored expanded, and ``~``x900 ``p`` prints
+    # as 900 nested parentheses: saving must not recurse on them.
+    deep = model(_negations(900))
+    save_model(deep, str(tmp_path / "deep.json"))
+    entries = json.loads((tmp_path / "deep.json").read_text())["evid"]["w0"]
+    text = print_formula(expand_sugar(_negations(900)))
+    assert entries == [{"term": "s", "formula": text, "value": "1/3"},
+                       {"term": "t", "formula": text, "value": "1/2"}]
+    # Reading back is bounded by the parser's nesting limit (a
+    # parenthesised formula costs 7 of its 1,000 levels).
+    m = model(_negations(140))
+    save_model(m, str(tmp_path / "m.json"))
+    back = load_model(str(tmp_path / "m.json"), RPLJ)
+    assert back.evidence == m.evidence
+    assert model_to_dict(back) == model_to_dict(m)

@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from fjl.generate import random_derivation
+from fjl.lifting import lift
 from fjl.logics import LogicConfig
 from fjl.models import eval_formula
 from fjl.parser import parse_formula
@@ -18,8 +21,8 @@ from fjl.proofs import (
     theorem_weakening,
 )
 from fjl.syntax import (
-    Const, GradedExact, Implies, Prop, StrongConj, TruthConst, Var,
-    expand_sugar,
+    App, Const, GradedExact, Implies, Prop, StrongConj, TruthConst, Var,
+    expand_sugar, print_formula, print_many, print_term,
 )
 
 RPLJ = LogicConfig.from_name("RPLJ")
@@ -135,6 +138,9 @@ def test_total_cs_membership_and_constants():
     assert name1 == cs.constant_for(body)
     assert name1 != cs.constant_for(parse_formula("(q & p) -> q"))
     assert name1.startswith("c")
+    assert cs.formula_for(name1) is expand_sugar(body)
+    with pytest.raises(KeyError):
+        cs.formula_for("c_999")
 
 
 def test_build_gmp_grades():
@@ -278,6 +284,66 @@ def test_parsed_files_share_equal_subformulas():
     cs = parse_cs("c1:((p & q) -> p)\nc2:c1:((p & q) -> p)\n", BLJ)
     first, second = cs.entries
     assert second.body is first
+
+
+def _fuzzed(seed):
+    return random_derivation(random.Random(seed), RPLJ, TotalCS(), moves=6)
+
+
+def _assert_file_roundtrip(d):
+    back = parse_derivation(format_derivation(d), RPLJ)
+    assert len(back.hypotheses) == len(d.hypotheses)
+    assert all(a is b for a, b in zip(back.hypotheses, d.hypotheses))
+    assert [s.rule for s in back.steps] == [s.rule for s in d.steps]
+    assert all(a.formula is b.formula for a, b in zip(back.steps, d.steps))
+
+
+def test_formatted_files_parse_back_to_the_same_formulas():
+    lifted = 0
+    for seed in range(25):
+        d = _fuzzed(seed)
+        _assert_file_roundtrip(d)
+        if len(d.steps) <= 40:
+            out = lift(d, TotalCS(), RPLJ)[1]
+            if len(out.steps) <= 1_000:
+                _assert_file_roundtrip(out)
+                lifted += len(out.steps) > 1
+    assert lifted >= 2
+
+
+def test_format_derivation_prints_each_formula_as_print_formula_does():
+    for seed in range(10):
+        d = _fuzzed(seed)
+        expected = [f"HYP {print_formula(h)}" for h in d.hypotheses]
+        expected += [f"STEP {i} {print_formula(s.formula)} BY "
+                     for i, s in enumerate(d.steps, start=1)]
+        lines = format_derivation(d).splitlines()
+        assert all(line.startswith(prefix) for line, prefix in zip(lines, expected))
+        assert len(lines) == len(expected)
+
+
+def test_print_many_matches_one_root_printing():
+    f = parse_formula("(s.t):(p -> q) & ~(p /\\ q)")
+    g = parse_formula("p -> q")
+    roots = [f, g, f.left.term, g, f, Prop("p"), f.left.term.left]
+    assert print_many(roots) == [str(x) for x in roots]
+    assert print_many(roots) == [print_term(x) if isinstance(x, (App, Var)) else
+                                 print_formula(x) for x in roots]
+    assert print_many([]) == []
+
+
+def test_format_derivation_of_steps_sharing_a_deep_chain():
+    chain = [p]
+    for _ in range(10_000):
+        chain.append(StrongConj(chain[-1], q))
+    steps = [Step(chain[k], Ax("BL2")) for k in (10_000, 5_000, 10_000, 1)]
+    text = format_derivation(Derivation((chain[9_999],), tuple(steps)))
+    lines = text.splitlines()
+    assert lines[0] == f"HYP {print_formula(chain[9_999])}"
+    assert lines[1] == f"STEP 1 {print_formula(chain[10_000])} BY AX BL2"
+    assert lines[3] == f"STEP 3 {print_formula(chain[10_000])} BY AX BL2"
+    assert lines[4] == "STEP 4 p & q BY AX BL2"
+    assert len(lines[1]) == len("p") + 10_000 * len(" & q") + len("STEP 1  BY AX BL2")
 
 
 def test_derivation_file_errors():

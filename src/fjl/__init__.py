@@ -6,7 +6,7 @@ checking under constant specifications, constructive internalization,
 and certified lower/upper bounds on graded degrees.
 """
 
-from .logics import Base, LogicConfig, Scheme, active_schemes, axiom_instance_of, match_scheme
+from .logics import Base, LogicConfig, Scheme, active_schemes, axiom_instance_of, schemes_by_tag
 from .models import (
     FittingModel, MkrtychevModel, crisp_eval, embed_rpl_valuation, eval_box,
     eval_formula, eval_mkrtychev, is_valid_in_model, load_model,

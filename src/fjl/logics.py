@@ -10,17 +10,26 @@ Schemes are first-order patterns over the primitive connectives with
 formula, term and rational metavariables.  The two bookkeeping schemes
 for truth constants carry a side computation that pins the computed
 constant (the Lukasiewicz residuum or t-norm of the matched grades).
+
+One matcher serves terms and formulas alike.  Nodes are interned (see
+:mod:`fjl.syntax`), so a fixed leaf or a repeated metavariable is
+checked by an identity test, and a metavariable binds a whole subtree:
+the matcher recurses no deeper than its pattern, at most 6 levels.
+The active schemes and the table of rule tags are computed once per
+configuration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
+from types import MappingProxyType
 from typing import Optional
 
 from .syntax import (
     App, Const, FALSUM, Formula, Implies, Justified, Prop, StrongConj, Sum,
-    Term, TruthConst, Var, expand_sugar,
+    TruthConst, Var, expand_sugar,
 )
 from .tnorms import TNormKind, luka_residuum, luka_tnorm
 
@@ -112,80 +121,47 @@ class RMeta:
     name: str
 
 
-class MatchFailure(Exception):
-    pass
+_LEAVES = frozenset({Prop, TruthConst, Var, Const})
 
 
-def _match_term(pattern, term: Term, binding: dict) -> None:
-    if isinstance(pattern, TMeta):
-        seen = binding.get(pattern.name)
-        if seen is None:
-            binding[pattern.name] = term
-        elif seen != term:
-            raise MatchFailure
-        return
-    if isinstance(pattern, (Var, Const)):
-        if pattern != term:
-            raise MatchFailure
-        return
-    if type(pattern) is not type(term):
-        raise MatchFailure
-    _match_term(pattern.left, term.left, binding)
-    _match_term(pattern.right, term.right, binding)
+def _bind(pattern, node, binding: dict) -> bool:
+    """Extend ``binding`` so that ``pattern`` under it is ``node``; False
+    if none does."""
+    if pattern is node:
+        return True
+    cls = type(pattern)
+    if cls is FMeta or cls is TMeta:
+        return binding.setdefault(pattern.name, node) is node
+    if cls is RMeta:
+        return (type(node) is TruthConst
+                and binding.setdefault(pattern.name, node.value) == node.value)
+    if cls is not type(node) or cls in _LEAVES:
+        return False
+    if cls is Justified:
+        return (_bind(pattern.term, node.term, binding)
+                and _bind(pattern.body, node.body, binding))
+    return (_bind(pattern.left, node.left, binding)
+            and _bind(pattern.right, node.right, binding))
 
 
-def _match_formula(pattern, f: Formula, binding: dict) -> None:
-    if isinstance(pattern, FMeta):
-        seen = binding.get(pattern.name)
-        if seen is None:
-            binding[pattern.name] = f
-        elif seen != f:
-            raise MatchFailure
-        return
-    if isinstance(pattern, RMeta):
-        if not isinstance(f, TruthConst):
-            raise MatchFailure
-        seen = binding.get(pattern.name)
-        if seen is None:
-            binding[pattern.name] = f.value
-        elif seen != f.value:
-            raise MatchFailure
-        return
-    if isinstance(pattern, (Prop, TruthConst)):
-        if pattern != f:
-            raise MatchFailure
-        return
-    if type(pattern) is not type(f):
-        raise MatchFailure
-    if isinstance(pattern, Justified):
-        _match_term(pattern.term, f.term, binding)
-        _match_formula(pattern.body, f.body, binding)
-        return
-    _match_formula(pattern.left, f.left, binding)
-    _match_formula(pattern.right, f.right, binding)
-
-
-def _subst_term(pattern, binding: dict) -> Term:
-    if isinstance(pattern, TMeta):
+def _subst(pattern, binding: dict):
+    """``pattern`` with every metavariable replaced by its binding."""
+    cls = type(pattern)
+    if cls is FMeta or cls is TMeta:
         return binding[pattern.name]
-    if isinstance(pattern, (Var, Const)):
-        return pattern
-    return type(pattern)(_subst_term(pattern.left, binding),
-                         _subst_term(pattern.right, binding))
-
-
-def _subst_formula(pattern, binding: dict) -> Formula:
-    if isinstance(pattern, FMeta):
-        return binding[pattern.name]
-    if isinstance(pattern, RMeta):
+    if cls is RMeta:
         return TruthConst(binding[pattern.name])
-    if isinstance(pattern, (Prop, TruthConst)):
-        return pattern
-    if isinstance(pattern, Justified):
-        return Justified(_subst_term(pattern.term, binding),
-                         _subst_formula(pattern.body, binding))
-    return type(pattern)(_subst_formula(pattern.left, binding),
-                         _subst_formula(pattern.right, binding))
+    children = pattern._nodes()
+    return cls(*(_subst(c, binding) for c in children)) if children else pattern
+
+
+def _metavariables(pattern):
+    """The metavariables of ``pattern`` in pre-order, repeats included."""
+    if isinstance(pattern, (FMeta, TMeta, RMeta)):
+        yield pattern
+    else:
+        for child in pattern._nodes():
+            yield from _metavariables(child)
 
 
 @dataclass(frozen=True)
@@ -202,10 +178,9 @@ class Scheme:
     side: tuple = ()
 
     def match(self, f: Formula) -> Optional[dict]:
+        """The substitution making the pattern ``f``'s expansion, or None."""
         binding: dict = {}
-        try:
-            _match_formula(self.pattern, expand_sugar(f), binding)
-        except MatchFailure:
+        if not _bind(self.pattern, expand_sugar(f), binding):
             return None
         for name, fn in self.side:
             if binding.get(name) != fn(binding):
@@ -216,31 +191,14 @@ class Scheme:
         full = dict(binding)
         for name, fn in self.side:
             full[name] = fn(full)
-        return _subst_formula(self.pattern, full)
+        return _subst(self.pattern, full)
 
     def free_metavariables(self) -> tuple:
-        """Metavariables a caller must supply to instantiate the scheme."""
-        names: list = []
-
-        def walk(p):
-            if isinstance(p, (FMeta, TMeta, RMeta)):
-                if p not in names:
-                    names.append(p)
-            elif isinstance(p, Justified):
-                walk(p.term)
-                walk(p.body)
-            elif isinstance(p, (StrongConj, Implies, App, Sum)):
-                walk(p.left)
-                walk(p.right)
-
-        walk(self.pattern)
+        """Metavariables a caller must supply to instantiate the scheme,
+        in order of first occurrence."""
         computed = {name for name, _ in self.side}
-        return tuple(m for m in names if not (isinstance(m, RMeta) and m.name in computed))
-
-
-def match_scheme(scheme: Scheme, f: Formula) -> Optional[dict]:
-    """First-order matching of a fully concrete formula against a scheme."""
-    return scheme.match(f)
+        return tuple(m for m in dict.fromkeys(_metavariables(self.pattern))
+                     if not (isinstance(m, RMeta) and m.name in computed))
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +267,7 @@ FACTIVITY = Scheme("jT", _imp(Justified(_T, _A), _A))
 CONSISTENCY = Scheme("jD", _neg(Justified(_T, FALSUM)))
 
 
+@cache
 def active_schemes(config: LogicConfig) -> tuple[Scheme, ...]:
     """The axiom schemes of the configured logic, in matching order."""
     out = list(BL_SCHEMES)
@@ -334,13 +293,14 @@ def active_schemes(config: LogicConfig) -> tuple[Scheme, ...]:
     return tuple(out)
 
 
-def scheme_by_name(name: str, config: LogicConfig) -> Optional[Scheme]:
-    for scheme in active_schemes(config):
-        if scheme.name == name:
-            return scheme
-    if name == "Sum":
-        return SUM1 if config.justified else None
-    return None
+@cache
+def schemes_by_tag(config: LogicConfig) -> MappingProxyType:
+    """The read-only table ``{tag: schemes}`` of ``AX <tag>`` steps: each
+    active scheme is a tag, and in justified logics ``Sum`` is either sum."""
+    table = {scheme.name: (scheme,) for scheme in active_schemes(config)}
+    if config.justified:
+        table["Sum"] = (SUM1, SUM2)
+    return MappingProxyType(table)
 
 
 def axiom_instance_of(f: Formula, config: LogicConfig):

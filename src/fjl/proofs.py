@@ -20,9 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .logics import (
-    Base, LogicConfig, SUM1, SUM2, axiom_instance_of, scheme_by_name,
-)
+from .logics import Base, LogicConfig, axiom_instance_of, schemes_by_tag
 from .parser import parse_formula
 from .syntax import (
     App, Const, FALSUM, Formula, GradedExact, Implies, Justified, ONE,
@@ -256,15 +254,11 @@ def check_cs(cs: ConstantSpecification, config: LogicConfig) -> CSReport:
 # The checker
 
 def _axiom_matches(name: str, f: Formula, config: LogicConfig) -> Optional[str]:
-    candidates = [scheme_by_name(name, config)]
-    if name == "Sum":
-        candidates = [SUM1 if config.justified else None,
-                      SUM2 if config.justified else None]
-    for scheme in candidates:
-        if scheme is not None and scheme.match(f) is not None:
-            return None
-    if all(c is None for c in candidates):
+    schemes = schemes_by_tag(config).get(name)
+    if schemes is None:
         return f"scheme {name!r} is not active in {config.name}"
+    if any(scheme.match(f) is not None for scheme in schemes):
+        return None
     return f"formula is not an instance of scheme {name!r}"
 
 
@@ -930,7 +924,8 @@ GRADED_THEOREMS = {
 # ---------------------------------------------------------------------------
 # Line-oriented derivation files
 
-_RULE_WORDS = ("AX", "HYP", "MP", "IAN", "GIAN")
+#: The rule words of a STEP line, with the number of words each takes.
+_RULE_ARITY = {"AX": 1, "HYP": 1, "MP": 2, "IAN": 0, "GIAN": 0}
 
 
 def format_derivation(d: Derivation) -> str:
@@ -979,10 +974,12 @@ def parse_derivation(text: str, config: Optional[LogicConfig] = None) -> Derivat
             raise ProofError(f"line {lineno}: expected step number {len(steps) + 1}")
         formula = parse_formula(formula_text.strip(), config)
         words = by.split()
-        if not words or words[0] not in _RULE_WORDS:
+        if not words or words[0] not in _RULE_ARITY:
             raise ProofError(f"line {lineno}: unknown rule {by!r}")
         kind = words[0]
         try:
+            if len(words) != 1 + _RULE_ARITY[kind]:
+                raise ValueError
             if kind == "AX":
                 rule: Rule = Ax(words[1])
             elif kind == "HYP":
@@ -993,7 +990,7 @@ def parse_derivation(text: str, config: Optional[LogicConfig] = None) -> Derivat
                 rule = Ian()
             else:
                 rule = Gian()
-        except (IndexError, ValueError):
+        except ValueError:
             raise ProofError(f"line {lineno}: malformed rule {by!r}") from None
         steps.append(Step(formula, rule))
     return Derivation(tuple(hypotheses), tuple(steps))

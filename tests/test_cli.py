@@ -113,6 +113,14 @@ def test_check_proof_command(capsys, tmp_path):
     assert main(["check-proof", str(broken)]) == 1
 
 
+@pytest.mark.parametrize("by", ["AX BL2 BL3 junk", "MP 1 1 7", "IAN x"])
+def test_check_proof_rejects_trailing_words_after_a_rule(capsys, tmp_path, by):
+    proof = tmp_path / "proof.txt"
+    proof.write_text(f"HYP p & q\nSTEP 1 p & q BY HYP 1\nSTEP 2 (p & q) -> p BY {by}\n")
+    assert main(["check-proof", "--cs", "total", str(proof)]) == 2
+    assert "line 3: malformed rule" in capsys.readouterr().err
+
+
 def test_check_cs_command(capsys, tmp_path):
     good = tmp_path / "cs.txt"
     good.write_text("c1:((p & q) -> p)\n")

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from fjl.logics import (
-    FMeta, LogicConfig, Scheme, active_schemes, axiom_instance_of,
-    match_scheme, scheme_by_name,
+    FMeta, SUM1, SUM2, LogicConfig, Scheme, active_schemes, axiom_instance_of,
+    schemes_by_tag,
 )
 from fjl.parser import parse_formula
 from fjl.syntax import Implies, Prop, expand_sugar
@@ -51,26 +51,40 @@ def test_active_scheme_sets():
     assert "jT" in jt and "jD" not in jt
 
 
+def test_tag_table():
+    for config in (RPLJ, BLJ, LogicConfig.from_name("BL"), LogicConfig.from_name("J"),
+                   LogicConfig.from_name("RPLJ", extras=("jT", "jD"))):
+        table = schemes_by_tag(config)
+        assert schemes_by_tag(config) is table
+        assert active_schemes(config) is active_schemes(config)
+        for scheme in active_schemes(config):
+            assert table[scheme.name] == (scheme,)
+        extra = set(table) - {s.name for s in active_schemes(config)}
+        assert extra == ({"Sum"} if config.justified else set())
+    assert schemes_by_tag(BLJ)["Sum"] == (SUM1, SUM2)
+    assert "Sum" not in schemes_by_tag(LogicConfig.from_name("BL"))
+
+
 def test_match_bl2():
-    scheme = scheme_by_name("BL2", BLJ)
-    got = match_scheme(scheme, parse_formula("(p & q) -> p"))
+    (scheme,) = schemes_by_tag(BLJ)["BL2"]
+    got = scheme.match(parse_formula("(p & q) -> p"))
     assert got == {"A": Prop("p"), "B": Prop("q")}
 
 
 def test_match_bl2_shape_mismatch():
-    scheme = scheme_by_name("BL2", BLJ)
-    assert match_scheme(scheme, parse_formula("p -> p")) is None
+    (scheme,) = schemes_by_tag(BLJ)["BL2"]
+    assert scheme.match(parse_formula("p -> p")) is None
 
 
 def test_match_tc2_with_side_computation():
-    scheme = scheme_by_name("TC2", RPLJ)
+    (scheme,) = schemes_by_tag(RPLJ)["TC2"]
     f = expand_sugar(parse_formula("(#1/2 & #2/3) == #1/6"))
-    got = match_scheme(scheme, f)
+    got = scheme.match(f)
     assert got is not None
     assert got["r"] == Fraction(1, 2) and got["r'"] == Fraction(2, 3)
     # a wrong computed constant must not match
     bad = expand_sugar(parse_formula("(#1/2 & #2/3) == #1/5"))
-    assert match_scheme(scheme, bad) is None
+    assert scheme.match(bad) is None
 
 
 def test_match_tc1_side_computation():
@@ -111,3 +125,12 @@ def test_match_soundness_on_random_instances(data):
     binding = scheme.match(instance)
     assert binding is not None
     assert scheme.instantiate(binding) == expand_sugar(instance)
+
+
+def test_free_metavariables_in_first_occurrence_order():
+    appl, = schemes_by_tag(BLJ)["Appl"]
+    assert [m.name for m in appl.free_metavariables()] == ["s", "A", "B", "t"]
+    tc1, = schemes_by_tag(RPLJ)["TC1"]
+    assert [m.name for m in tc1.free_metavariables()] == ["r", "r'"]
+    bl4, = schemes_by_tag(BLJ)["BL4"]
+    assert [m.name for m in bl4.free_metavariables()] == ["A", "B"]

@@ -82,6 +82,30 @@ def test_checker_rejects_axiom_mismatch():
     assert not report.ok and "not an instance" in report.reason
 
 
+@pytest.mark.parametrize("logic, tag, text, reason", [
+    ("RPLJ", "Sum", "s:p -> s+t:p", None),
+    ("RPLJ", "Sum", "s:p -> t+s:p", None),
+    ("BLJ", "Sum", "s:p -> s+t:p", None),
+    ("BLJ", "Sum", "s:p -> t+s:p", None),
+    ("BLJ", "Sum1", "s:p -> s+t:p", None),
+    ("BLJ", "Sum2", "s:p -> t+s:p", None),
+    ("BL", "Sum", "s:p -> s+t:p", "scheme 'Sum' is not active in BL"),
+    ("BL", "Appl", "s:(p -> q) -> (t:p -> s.t:q)", "scheme 'Appl' is not active in BL"),
+    ("BLJ", "TC1", "(#0 -> #1) == #1", "scheme 'TC1' is not active in BLJ"),
+    ("RPLJ", "Nope", "p", "scheme 'Nope' is not active in RPLJ"),
+    ("BLJ", "Sum", "s:p -> s.t:p", "formula is not an instance of scheme 'Sum'"),
+    ("RPLJ", "Sum", "s:p -> t+s:q", "formula is not an instance of scheme 'Sum'"),
+    ("BLJ", "Sum1", "s:p -> t+s:p", "formula is not an instance of scheme 'Sum1'"),
+    ("RPLJ", "TC1", "(#1/2 -> #3/4) == #3/4", "formula is not an instance of scheme 'TC1'"),
+])
+def test_checker_axiom_tags(logic, tag, text, reason):
+    config = LogicConfig.from_name(logic)
+    d = Derivation((), (Step(parse_formula(text, config), Ax(tag)),))
+    report = check_derivation(d, config, EMPTY_CS)
+    assert report.ok == (reason is None)
+    assert report.reason == reason
+
+
 def test_gian_membership():
     body = parse_formula("(p & q) -> p")
     entry = GradedExact(Fraction(1), Const("c1"), body)
@@ -353,6 +377,22 @@ def test_derivation_file_errors():
         parse_derivation("STEP 1 p BY NONSENSE\n")
     with pytest.raises(ProofError):
         parse_derivation("STEP 1 p BY AX BL2\nHYP q\n")
+
+
+@pytest.mark.parametrize("by", [
+    "AX BL2 BL3 junk", "AX BL2 junk", "MP 1 1 7", "HYP 1 2", "IAN x", "GIAN 1",
+    "AX", "MP 1", "HYP", "HYP x", "MP 1 y",
+])
+def test_derivation_file_rejects_malformed_rules(by):
+    text = f"HYP p\nSTEP 1 (p & q) -> p BY {by}\n"
+    with pytest.raises(ProofError, match="line 2: malformed rule"):
+        parse_derivation(text)
+
+
+def test_derivation_file_accepts_each_rule_with_its_words():
+    d = parse_derivation("HYP p\nSTEP 1 p BY HYP 1\nSTEP 2 (p & q) -> p BY AX BL2\n"
+                         "STEP 3 p BY MP 1 2\nSTEP 4 c1:p BY IAN\nSTEP 5 c1:p BY  GIAN \n")
+    assert [step.rule for step in d.steps] == [Hyp(0), Ax("BL2"), MP(0, 1), Ian(), Gian()]
 
 
 def test_cs_file_parsing():

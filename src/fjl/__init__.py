@@ -18,7 +18,7 @@ from .generate import (
 )
 from .parser import (
     ConstantNotAllowedError, ConstantRangeError, LexicalError, ParseError,
-    parse_formula, parse_term,
+    formula_reader, parse_formula, parse_term,
 )
 from .proofs import (
     Ax, ConstantSpecification, Derivation, DerivationBuilder, FiniteCS, Gian,

@@ -2,7 +2,8 @@
 
 Exit status: 0 on success or a passing check, 1 on a failing check or
 rejected input, 2 on usage errors.  ``FJL_SEED`` overrides the default
-seed of every seeded subcommand; ``--json`` switches reports to JSON.
+seed of every seeded subcommand; ``--json`` switches reports, and the
+errors that end a command, to JSON.
 """
 
 from __future__ import annotations
@@ -71,6 +72,15 @@ def _emit(payload: dict, as_json: bool, text: str) -> None:
         print(json.dumps(payload, indent=2))
     else:
         print(text)
+
+
+def _error(message: str, as_json: bool) -> None:
+    """``{"ok": false, "error": ...}`` on stdout under ``--json``, else
+    ``error: ...`` on stderr."""
+    if as_json:
+        print(json.dumps({"ok": False, "error": message}))
+    else:
+        print(f"error: {message}", file=sys.stderr)
 
 
 def cmd_parse(args) -> int:
@@ -152,7 +162,7 @@ def cmd_internalize(args) -> int:
         else:
             term, lifted = internalize(derivation, cs, config)
     except InputRejected as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc), args.json)
         return 1
     text = format_derivation(lifted)
     if args.out:
@@ -337,7 +347,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ParseError, ProofError, ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc), args.json)
         return 2
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from .logics import LogicConfig
-from .parser import parse_formula, parse_term
+from .parser import ParseError, formula_reader, parse_term
 from .syntax import (
     App, Const, Formula, Implies, Justified, ONE, Prop, StrongConj, Sum,
     Term, TruthConst, ZERO, as_unit, expand_sugar, format_rational,
@@ -396,10 +396,13 @@ def model_from_dict(data: dict, config: Optional[LogicConfig] = None) -> Fitting
             for p, v in table.items():
                 valuation[(w, p)] = parse_rational(v)
         evidence = {}
+        read = formula_reader(config)
         for w, entries in data.get("evid", {}).items():
-            for entry in entries:
-                key = (w, parse_term(entry["term"]),
-                       parse_formula(entry["formula"], config))
+            for k, entry in enumerate(entries):
+                try:
+                    key = (w, parse_term(entry["term"]), read(entry["formula"]))
+                except ParseError as exc:
+                    raise exc.within(f"evidence entry {k} of world {w!r}") from None
                 evidence[key] = parse_rational(entry["value"])
         default_evid = parse_rational(data.get("default_evid", "1"))
         default_val = parse_rational(data.get("default_val", "0"))

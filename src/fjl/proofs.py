@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .logics import Base, LogicConfig, axiom_instance_of, schemes_by_tag
-from .parser import parse_formula
+from .parser import ParseError, formula_reader
 from .syntax import (
     App, Const, FALSUM, Formula, GradedExact, Implies, Justified, ONE,
     StrongConj, Sum, Term, TruthConst, VERUM, expand_sugar, print_formula, print_many,
@@ -949,7 +949,25 @@ def format_derivation(d: Derivation) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _number(word: str) -> int:
+    """A step number written in ASCII decimal digits."""
+    if not (word.isascii() and word.isdecimal()):
+        raise ValueError(word)
+    return int(word)
+
+
+def _formula(read, text: str, lineno: int) -> Formula:
+    """``read(text)``, a parse error naming line ``lineno``."""
+    try:
+        return read(text)
+    except ParseError as exc:
+        raise exc.within(f"line {lineno}") from None
+
+
 def parse_derivation(text: str, config: Optional[LogicConfig] = None) -> Derivation:
+    """The derivation a derivation file describes.  Its formulas share one
+    reader, so a group repeated across lines is parsed once."""
+    read = formula_reader(config)
     hypotheses: list = []
     steps: list = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -959,20 +977,20 @@ def parse_derivation(text: str, config: Optional[LogicConfig] = None) -> Derivat
         if line.startswith("HYP "):
             if steps:
                 raise ProofError(f"line {lineno}: hypotheses must precede steps")
-            hypotheses.append(parse_formula(line[4:].strip(), config))
+            hypotheses.append(_formula(read, line[4:].strip(), lineno))
             continue
         if not line.startswith("STEP "):
             raise ProofError(f"line {lineno}: expected HYP or STEP")
         rest = line[5:]
         try:
             number_text, rest = rest.split(" ", 1)
-            number = int(number_text)
+            number = _number(number_text)
             formula_text, by = rest.rsplit(" BY ", 1)
         except ValueError:
             raise ProofError(f"line {lineno}: malformed STEP line") from None
         if number != len(steps) + 1:
             raise ProofError(f"line {lineno}: expected step number {len(steps) + 1}")
-        formula = parse_formula(formula_text.strip(), config)
+        formula = _formula(read, formula_text.strip(), lineno)
         words = by.split()
         if not words or words[0] not in _RULE_ARITY:
             raise ProofError(f"line {lineno}: unknown rule {by!r}")
@@ -983,9 +1001,9 @@ def parse_derivation(text: str, config: Optional[LogicConfig] = None) -> Derivat
             if kind == "AX":
                 rule: Rule = Ax(words[1])
             elif kind == "HYP":
-                rule = Hyp(int(words[1]) - 1)
+                rule = Hyp(_number(words[1]) - 1)
             elif kind == "MP":
-                rule = MP(int(words[1]) - 1, int(words[2]) - 1)
+                rule = MP(_number(words[1]) - 1, _number(words[2]) - 1)
             elif kind == "IAN":
                 rule = Ian()
             else:
@@ -998,9 +1016,10 @@ def parse_derivation(text: str, config: Optional[LogicConfig] = None) -> Derivat
 
 def parse_cs(text: str, config: Optional[LogicConfig] = None) -> FiniteCS:
     """One entry formula per line; blank lines and # comments ignored."""
+    read = formula_reader(config)
     entries = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
-            entries.append(parse_formula(line, config))
+            entries.append(_formula(read, line, lineno))
     return FiniteCS(entries)

@@ -211,3 +211,47 @@ def test_parse_deep_input_succeeds(capsys, flags, text):
     assert main(["parse", *flags, text]) == 0
     expected = print_formula(expand_sugar(parse_formula(text))) if flags else text
     assert capsys.readouterr().out.strip() == expected
+
+
+def test_check_proof_formula_error_names_the_line(capsys, tmp_path):
+    proof = tmp_path / "proof.txt"
+    proof.write_text("STEP 1 (p & q) -> p BY AX BL2\nSTEP 2 (p -> BY AX BL2\n")
+    assert main(["check-proof", "--cs", "total", str(proof)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: line 2: expected a formula, found 'end of input' (at position 5)")
+
+
+def test_model_file_formula_error_names_the_entry(capsys, tmp_path):
+    data = {"worlds": ["w0"], "tnorm": "L",
+            "evid": {"w0": [{"term": "t", "formula": "p", "value": "1"},
+                            {"term": "t", "formula": "p &", "value": "1"}]}}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    assert main(["eval", "--model", str(path), "--formula", "p"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: evidence entry 1 of world 'w0': expected a formula, "
+        "found 'end of input' (at position 3)")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["parse", "p ->"], "expected a formula, found 'end of input' (at position 4)"),
+    (["check-proof", "no-such-file.txt"], "No such file or directory"),
+], ids=["parse-error", "missing-file"])
+def test_json_errors(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--json", *argv]) == 2
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert set(payload) == {"ok", "error"} and payload["ok"] is False
+    assert message in payload["error"]
+    assert err == ""
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_json_error_of_a_rejected_internalize_input(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("STEP 1 p BY AX BL2\n")
+    assert main(["--json", "internalize", "--cs", "total", str(bad)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False and "rejected" in payload["error"]

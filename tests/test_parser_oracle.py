@@ -12,6 +12,7 @@ they start.
 import random
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 import recursive_descent_parser as oracle
@@ -68,13 +69,13 @@ def test_term_strings_agree_with_oracle(tokens):
     assert outcome(parser.parse_term, text) == expected(oracle.parse_term, text)
 
 
-@settings(max_examples=300, deadline=None)
-@given(formulas,
-       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 10**6),
-                          st.sampled_from(ALPHABET)), max_size=3),
-       CONFIGS)
-def test_edited_formulas_agree_with_oracle(f, edits, config):
-    tokens = [tok.text for tok in oracle.tokenize(print_formula(f))[:-1]]
+#: Token edits: insert (0), delete (1) or replace (2) at a position.
+EDITS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 10**6),
+                           st.sampled_from(ALPHABET)), max_size=3)
+
+
+def _edited(text, edits):
+    tokens = [tok.text for tok in oracle.tokenize(text)[:-1]]
     for op, k, tok in edits:
         k %= len(tokens) + 1
         if op == 0:
@@ -84,7 +85,13 @@ def test_edited_formulas_agree_with_oracle(f, edits, config):
                 del tokens[k]
             else:
                 tokens[k] = tok
-    text = " ".join(tokens)
+    return " ".join(tokens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas, EDITS, CONFIGS)
+def test_edited_formulas_agree_with_oracle(f, edits, config):
+    text = _edited(print_formula(f), edits)
     assert outcome(parser.parse_formula, text, config) == \
         expected(oracle.parse_formula, text, config)
 
@@ -126,9 +133,103 @@ def test_check_derivation_verdicts_agree_with_oracle(monkeypatch):
         return out
 
     ours = verdicts()
-    monkeypatch.setattr(proofs, "parse_formula",
-                        lambda text, config=None:
-                        oracle.parse_formula(text, config))
+    monkeypatch.setattr(proofs, "formula_reader",
+                        lambda config=None: lambda text: oracle.parse_formula(text, config))
     assert ours == verdicts()
     assert {ok for ok, _, _ in ours} == {True, False}
 
+
+
+# ---------------------------------------------------------------------------
+# One reader's shared group table against a fresh parse of each text
+
+
+def assert_reader_agrees(texts, config=None):
+    """Each text read through one ``formula_reader`` gives what a fresh
+    ``parse_formula`` gives: the same node, or the same error class at
+    the same position."""
+    read = parser.formula_reader(config)
+    for text in texts:
+        got, want = outcome(read, text), outcome(parser.parse_formula, text, config)
+        assert got is want if not isinstance(want, tuple) else got == want, text
+
+
+@st.composite
+def related_texts(draw):
+    """Texts that share groups: a few printed formulas, combined so that a
+    group recurs as a formula and as a term, then edited."""
+    pool = [print_formula(f) for f in draw(st.lists(formulas, min_size=1, max_size=3))]
+    texts = []
+    for _ in range(draw(st.integers(1, 6))):
+        a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        text = draw(st.sampled_from([
+            a, f"({a}) -> ({b})", f"~({a})", f"(s):({a})", f"({a}):({b})",
+            f"(({a}) & {b})", f"({a}).y:p", f"({a}) + s:p"]))
+        texts.append(_edited(text, draw(EDITS)))
+    return texts
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(ALPHABET), max_size=16).map(" ".join),
+                max_size=6), CONFIGS)
+def test_shared_reader_agrees_on_token_strings(texts, config):
+    assert_reader_agrees(texts, config)
+
+
+@settings(max_examples=300, deadline=None)
+@given(related_texts(), CONFIGS)
+def test_shared_reader_agrees_on_related_texts(texts, config):
+    assert_reader_agrees(texts, config)
+
+
+def _file_formulas(seed):
+    d = random_derivation(random.Random(seed), RPLJ, proofs.TotalCS())
+    return [print_formula(f) for f in d.hypotheses + tuple(s.formula for s in d.steps)]
+
+
+FILE_FORMULAS = [_file_formulas(seed) for seed in (1, 2, 3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FILE_FORMULAS), st.integers(0, 10**6), EDITS)
+def test_shared_reader_agrees_on_file_lines_with_one_edited(lines, k, edits):
+    lines = list(lines)
+    k %= len(lines)
+    lines[k] = _edited(lines[k], edits)
+    assert_reader_agrees(lines, RPLJ)
+
+
+@pytest.mark.parametrize("texts", [
+    ["(p) -> q", "(p):q"],
+    ["(x) -> p", "(x).y:p"],
+    ["((p -> q)) -> r", "((p -> q)):r", "(p -> q).x:r", "(p -> q) + x:r"],
+    ["(p -> #1/2) -> q", "((p -> #1/2) -> q) & q", "t:{>=1/3}(p -> #1/2)"],
+    ["(#0 -> p) & (#1 -> p)", "(#0 -> p) -> (#1 -> p)"],
+])
+@pytest.mark.parametrize("config", [None, BL, RPLJ], ids=["none", "BL", "RPLJ"])
+def test_shared_reader_fixed_cases(texts, config):
+    assert_reader_agrees(texts, config)
+
+
+@pytest.mark.parametrize("first, group", [
+    (["{g}"], "((p -> q) -> (q & r))"),
+    (["{g}"], "(((x))) -> p"),
+    (["{g}"], "((((x))):p)"),
+    # Read first where the scan of an enclosing "(" has already read it.
+    (["(({g}) -> q)"], "((((x))):p)"),
+    (["(({g}) -> q)"], "((p -> q) -> (q & r))"),
+    (["{g} -> p"], "((((x))))"),
+    # Its inner groups read first, so its own first read takes them whole.
+    (["(p -> q)", "(q & r)", "{g}"], "((p -> q) -> (q & r))"),
+], ids=["implications", "parens", "term-inside", "term-inside-scanned",
+        "implications-scanned", "four-parens", "inner-groups-first"])
+@pytest.mark.parametrize("prefix, levels", [("~", 1), ("(c):", 3), ("~(c):", 4)])
+def test_shared_reader_at_the_depth_bound(first, group, prefix, levels):
+    """A group read first at depth 0, then under enough prefixes to land on
+    each side of ``MAX_DEPTH``."""
+    count = range((parser.MAX_DEPTH - 60) // levels, parser.MAX_DEPTH // levels + 1)
+    texts = [text.format(g=group) for text in first] + [prefix * n + group for n in count]
+    texts += [prefix * n + "((((x)))):p" for n in count]
+    assert_reader_agrees(texts)
+    outcomes = {isinstance(outcome(parser.parse_formula, text), tuple) for text in texts}
+    assert outcomes == {True, False}

@@ -7,7 +7,7 @@ from fjl.generate import random_derivation
 from fjl.lifting import lift
 from fjl.logics import LogicConfig
 from fjl.models import eval_formula
-from fjl.parser import parse_formula
+from fjl.parser import ConstantNotAllowedError, LexicalError, ParseError, parse_formula
 from fjl.proofs import (
     Ax, BL_THEOREMS, Derivation, DerivationBuilder, EMPTY_CS, FiniteCS, Gian,
     GRADED_THEOREMS, Hyp, Ian, MP, ProofError, ShapeError, Step, TotalCS,
@@ -387,6 +387,55 @@ def test_derivation_file_rejects_malformed_rules(by):
     text = f"HYP p\nSTEP 1 (p & q) -> p BY {by}\n"
     with pytest.raises(ProofError, match="line 2: malformed rule"):
         parse_derivation(text)
+
+
+@pytest.mark.parametrize("by", ["HYP +1", "HYP 0_1", "HYP \u0661", "HYP \u00b9",
+                                "MP 1 +1", "MP \uff11 1", "HYP -1", "MP 1 1.0"])
+def test_derivation_file_step_references_are_ascii_digits(by):
+    with pytest.raises(ProofError, match="line 2: malformed rule"):
+        parse_derivation(f"HYP p\nSTEP 1 p BY {by}\n")
+
+
+@pytest.mark.parametrize("number", ["+1", "0_1", "\u0661", " 1", "1.0"])
+def test_derivation_file_step_numbers_are_ascii_digits(number):
+    with pytest.raises(ProofError, match="line 2: malformed STEP line"):
+        parse_derivation(f"HYP p\nSTEP {number} p BY HYP 1\n")
+
+
+@pytest.mark.parametrize("text, line, cls, position", [
+    ("STEP 1 p BY AX BL2\nSTEP 2 (p -> BY AX BL2\n", 2, ParseError, 5),
+    ("HYP p\n\n# note\nHYP q $ r\n", 4, LexicalError, 2),
+    ("HYP p\nSTEP 1 (p & q) -> #1/3 BY AX BL2\n", 2, ConstantNotAllowedError, 12),
+])
+def test_derivation_file_formula_errors_name_the_line(text, line, cls, position):
+    with pytest.raises(cls) as info:
+        parse_derivation(text, BL)
+    assert type(info.value) is cls
+    assert info.value.position == position
+    assert info.value.message.startswith(f"line {line}: ")
+    assert str(info.value).endswith(f"(at position {position})")
+
+
+def test_cs_file_formula_errors_name_the_line():
+    with pytest.raises(ParseError, match=r"^line 3: expected a formula") as info:
+        parse_cs("c1:((p & q) -> p)\n# c2\nc2:(p ->\n", BLJ)
+    assert info.value.position == 8
+
+
+def test_large_lifted_file_parses_back_to_the_same_formulas():
+    """A lifted output of thousands of steps, formatted and read back: the
+    same interned hypotheses and step formulas, and the kernel accepts it."""
+    d = _fuzzed(1)
+    lifted = lift(d, TotalCS(), RPLJ)[1]
+    text = format_derivation(lifted)
+    assert len(lifted.steps) > 2_000 and len(text) > 2_000_000
+    back = parse_derivation(text, RPLJ)
+    assert len(back.hypotheses) == len(lifted.hypotheses)
+    assert all(a is b for a, b in zip(back.hypotheses, lifted.hypotheses))
+    assert len(back.steps) == len(lifted.steps)
+    assert all(a.formula is b.formula and a.rule == b.rule
+               for a, b in zip(back.steps, lifted.steps))
+    assert check_derivation(back, RPLJ, TotalCS()).ok
 
 
 def test_derivation_file_accepts_each_rule_with_its_words():

@@ -2,8 +2,9 @@
 
 Exit status: 0 on success or a passing check, 1 on a failing check or
 rejected input, 2 on usage errors.  ``FJL_SEED`` overrides the default
-seed of every seeded subcommand; ``--json`` switches reports, and the
-errors that end a command, to JSON.
+seed of every seeded subcommand; ``--json``, before or after the
+subcommand, switches reports, and the errors that end a command (usage
+errors included), to JSON.
 """
 
 from __future__ import annotations
@@ -257,8 +258,20 @@ def cmd_suite(args) -> int:
     return 0 if failures == 0 else 1
 
 
+class _UsageError(Exception):
+    """A command line that ``argparse`` rejects: (the parser, its message)."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors instead of exiting, so ``main`` reports them
+    like every other error; subcommand parsers share the class."""
+
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="fjl",
         description="Workbench for fuzzy justification logics")
     parser.add_argument("--json", action="store_true", help="emit JSON reports")
@@ -335,14 +348,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logic", default=None, help="restrict the soundness suite")
     p.set_defaults(fn=cmd_suite)
 
+    for p in sub.choices.values():
+        # after the subcommand too; when absent, the value before it stands
+        p.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                       help="emit JSON reports")
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except _UsageError as exc:
+        culprit, message = exc.args
+        if "--json" in argv:
+            _error(message, True)
+        else:
+            culprit.print_usage(sys.stderr)
+            print(f"{culprit.prog}: error: {message}", file=sys.stderr)
+        return 2
+    except SystemExit as exc:      # --help
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)

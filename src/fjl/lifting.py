@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 
 from .generate import ModelParams, SearchBudget, random_model
 from .logics import LogicConfig, axiom_instance_of
-from .models import FittingModel, eval_worlds, validate_model
+from .models import FittingModel, eval_many, validate_model
 from .proofs import (
     ConstantSpecification, Derivation, DerivationBuilder, FiniteCS, Gian,
     Hyp, Ax, Ian, ProofError, TotalCS, check_derivation, cs_entry,
@@ -371,9 +371,9 @@ def truth_degree_ub(hypotheses: Iterable[Formula], goal: Formula,
     def consider(model: FittingModel) -> None:
         nonlocal best, witness
         # ``best`` moves only on valid models: validating last changes no result
-        if any(v != ONE for h in hyp_e for v in eval_worlds(model, h).values()):
+        *hyp_values, values = eval_many(model, relevant)
+        if any(v != ONE for row in hyp_values for v in row.values()):
             return
-        values = eval_worlds(model, goal_e)
         low = min(values.values())
         if low < best and validate_model(model, config, cs, relevant).ok:
             best = low

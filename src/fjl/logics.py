@@ -21,7 +21,7 @@ configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from types import MappingProxyType
@@ -176,6 +176,13 @@ class Scheme:
     name: str
     pattern: object
     side: tuple = ()
+    _free: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        computed = {name for name, _ in self.side}
+        object.__setattr__(self, "_free", tuple(
+            m for m in dict.fromkeys(_metavariables(self.pattern))
+            if not (isinstance(m, RMeta) and m.name in computed)))
 
     def match(self, f: Formula) -> Optional[dict]:
         """The substitution making the pattern ``f``'s expansion, or None."""
@@ -195,10 +202,8 @@ class Scheme:
 
     def free_metavariables(self) -> tuple:
         """Metavariables a caller must supply to instantiate the scheme,
-        in order of first occurrence."""
-        computed = {name for name, _ in self.side}
-        return tuple(m for m in dict.fromkeys(_metavariables(self.pattern))
-                     if not (isinstance(m, RMeta) and m.name in computed))
+        in order of first occurrence; found once, when the scheme is made."""
+        return self._free
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,20 @@ Evidence keys are normalised to sugar-expanded formulas, so a table
 entry written with graded sugar and a query in primitive form meet in
 the same slot.
 
-``eval_worlds`` evaluates at every world in one bottom-up pass; every other
-evaluator but the oracle ``crisp_eval`` reads off it.
+``eval_many`` evaluates several formulas at every world in one bottom-up
+pass over their distinct subformulas; ``eval_worlds`` is its one-formula
+case, and every other evaluator but the oracle ``crisp_eval`` reads off
+it.  Lukasiewicz and Goedel models are evaluated in exact integers on a
+common-denominator grid: with D the lcm of every denominator in the
+model's tables, its defaults and the formulas' truth constants, a value
+v is the integer v*D, and max(0, x+y-D), min(x, y), D-x+y and y stay
+integers on it.  Only the formulas' own values are turned back into
+Fractions.  Product models stay in Fractions, since x*y and y/x leave
+any such grid.
+
+``validate_model`` reads its query pairs off one walk over all the query
+formulas, takes each distinct term's subterms once, and asks the
+constant specification once per (constant, formula) pair.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional
 
 from .logics import LogicConfig
@@ -28,9 +41,9 @@ from .parser import ParseError, formula_reader, parse_term
 from .syntax import (
     App, Const, Formula, Implies, Justified, ONE, Prop, StrongConj, Sum,
     Term, TruthConst, ZERO, as_unit, expand_sugar, format_rational,
-    justified_pairs, parse_rational, print_formula, print_term, subformulas, subterms,
+    parse_rational, print_formula, print_term, subformulas_many, subterms,
 )
-from .tnorms import TNormKind, residuum_apply, tnorm_apply
+from .tnorms import TNormKind, tnorm_apply
 
 
 class ModelError(ValueError):
@@ -73,7 +86,7 @@ class FittingModel:
         object.__setattr__(self, "default_valuation", as_unit(self.default_valuation))
 
     def successors(self, world: str) -> tuple:
-        return tuple(v for (u, v) in sorted(self.access) if u == world)
+        return tuple(sorted(v for u, v in self.access if u == world))
 
     def value(self, world: str, prop: str) -> Fraction:
         return self.valuation.get((world, prop), self.default_valuation)
@@ -110,33 +123,103 @@ class MkrtychevModel:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def eval_worlds(model: FittingModel, f: Formula) -> dict:
-    """Truth value of ``f`` at every world, in ``model.worlds`` order: one
-    bottom-up pass over the distinct subformulas of its expansion."""
+def _luka_conj(xs: list, ys: list, top: int) -> list:
+    return [x + y - top if x + y > top else 0 for x, y in zip(xs, ys)]
+
+
+def _luka_imp(xs: list, ys: list, top: int) -> list:
+    return [top if x <= y else top - x + y for x, y in zip(xs, ys)]
+
+
+def _goedel_conj(xs: list, ys: list, top: int) -> list:
+    return [x if x < y else y for x, y in zip(xs, ys)]
+
+
+def _goedel_imp(xs: list, ys: list, top: int) -> list:
+    return [top if x <= y else y for x, y in zip(xs, ys)]
+
+
+def _product_conj(xs: list, ys: list, top: Fraction) -> list:
+    return [x * y for x, y in zip(xs, ys)]
+
+
+def _product_imp(xs: list, ys: list, top: Fraction) -> list:
+    return [top if x <= y else y / x for x, y in zip(xs, ys)]
+
+
+def _on_grid(values: list, top: int) -> list:
+    """Each of ``values`` as the integer n such that it is n/top."""
+    return [v.numerator * (top // v.denominator) for v in values]
+
+
+_LUKASIEWICZ, _GOEDEL = TNormKind.LUKASIEWICZ, TNormKind.GOEDEL
+
+
+def eval_many(model: FittingModel, formulas: Iterable[Formula]) -> list:
+    """The truth value of each of ``formulas`` at every world, as one dict
+    per formula in ``model.worlds`` order.
+
+    One bottom-up pass covers the distinct subformulas of all their
+    expansions, so a subformula that several formulas share is evaluated
+    once, one row of values per node.  Lukasiewicz and Goedel values are
+    integers n standing for n/D, D the lcm of the denominators of the
+    model's values and of the truth constants in the walk; only the
+    formulas' own values become Fractions.  Product values leave that
+    grid, so they stay Fractions.
+    """
+    roots = [expand_sugar(f) for f in formulas]
     worlds, tk = model.worlds, model.tnorm
-    index = {w: i for i, w in enumerate(worlds)}
-    successors = [[] for _ in worlds]
-    for u, v in model.access:
-        successors[index[u]].append(index[v])
-    root, values = expand_sugar(f), {}
-    for g in subformulas(root):
-        if isinstance(g, Implies):
-            row = [residuum_apply(tk, a, b) for a, b in zip(values[g.left], values[g.right])]
-        elif isinstance(g, Prop):
-            row = [model.value(w, g.name) for w in worlds]
-        elif isinstance(g, Justified):
-            body = values[g.body]
-            row = [tnorm_apply(tk, model.evidence_value(w, g.term, g.body),
-                               min([body[j] for j in succ], default=ONE))
-                   for w, succ in zip(worlds, successors)]
-        elif isinstance(g, StrongConj):
-            row = [tnorm_apply(tk, a, b) for a, b in zip(values[g.left], values[g.right])]
-        elif isinstance(g, TruthConst):
-            row = [g.value] * len(worlds)
+    order = subformulas_many(roots)
+    grid = tk is _LUKASIEWICZ or tk is _GOEDEL
+    if grid:
+        conj, imp = (_luka_conj, _luka_imp) if tk is _LUKASIEWICZ else (_goedel_conj, _goedel_imp)
+        top = lcm(*{v.denominator for table in (model.valuation, model.evidence)
+                    for v in table.values()},
+                  *{g.value.denominator for g in order if type(g) is TruthConst},
+                  model.default_evidence.denominator, model.default_valuation.denominator)
+    else:
+        conj, imp, top = _product_conj, _product_imp, ONE
+    valuation, evidence = model.valuation.get, model.evidence.get
+    default_valuation, default_evidence = model.default_valuation, model.default_evidence
+    successors = None
+    values = {}
+    for g in order:
+        cls = type(g)
+        if cls is Implies:
+            row = imp(values[g.left], values[g.right], top)
+        elif cls is StrongConj:
+            row = conj(values[g.left], values[g.right], top)
+        elif cls is Justified:
+            if successors is None:
+                index = {w: i for i, w in enumerate(worlds)}
+                successors = [[] for _ in worlds]
+                for u, v in model.access:
+                    successors[index[u]].append(index[v])
+            term, body = g.term, g.body
+            given = [evidence((w, term, body), default_evidence) for w in worlds]
+            below = values[body]
+            row = conj(_on_grid(given, top) if grid else given,
+                       [min([below[j] for j in succ], default=top) for succ in successors], top)
+        elif cls is Prop:
+            name = g.name
+            row = [valuation((w, name), default_valuation) for w in worlds]
+            if grid:
+                row = _on_grid(row, top)
+        elif cls is TruthConst:
+            row = (_on_grid([g.value], top) if grid else [g.value]) * len(worlds)
         else:
             raise ModelError(f"cannot evaluate {type(g).__name__}")
         values[g] = row
-    return dict(zip(worlds, values[root]))
+    if grid:
+        return [dict(zip(worlds, [ONE if x == top else ZERO if not x else Fraction(x, top)
+                                  for x in values[r]]))
+                for r in roots]
+    return [dict(zip(worlds, values[r])) for r in roots]
+
+
+def eval_worlds(model: FittingModel, f: Formula) -> dict:
+    """Truth value of ``f`` at every world, in ``model.worlds`` order."""
+    return eval_many(model, (f,))[0]
 
 
 def eval_formula(model: FittingModel, world: str, f: Formula) -> Fraction:
@@ -170,7 +253,7 @@ def crisp_eval(model: FittingModel, world: str, f: Formula) -> Fraction:
 
 
 def _bool(value: Fraction) -> Fraction:
-    if value != ZERO and value != ONE:
+    if value not in (ZERO, ONE):
         raise ModelError(f"non-Boolean value {value} in crisp evaluation")
     return value
 
@@ -268,11 +351,12 @@ def validate_model(model: FittingModel, config: LogicConfig, cs,
     tables: dict = {w: {} for w in model.worlds}
     for (w, t, a), v in model.evidence.items():
         tables[w][(t, a)] = v
-    queried, queried_terms = set(), set()
-    for f in relevant:
-        queried.update(justified_pairs(f))
-    for t, _ in queried:
-        queried_terms.update(subterms(t))
+    queried = {(g.term, g.body) for g in subformulas_many(map(expand_sugar, relevant))
+               if type(g) is Justified}
+    below = {t: frozenset(subterms(t)) for t in {t for t, _ in queried}.union(
+        t for _, t, _ in model.evidence)}     # each distinct term's subterms
+    queried_terms = set().union(*(below[t] for t, _ in queried))
+    covered: dict = {}     # (constant, formula) -> whether ``cs`` specifies it
 
     def e(t, a):
         return f"E({print_term(t)}, {print_formula(a)})"
@@ -287,13 +371,13 @@ def validate_model(model: FittingModel, config: LogicConfig, cs,
             if w not in sources:
                 report.add("frame", w, "seriality required but world has no successor")
         pairs = queried.union(table)
-        terms = queried_terms.union(*(subterms(t) for t, _ in table))
-        partners, least = {}, {}    # per formula: its terms; its least listed s+t value
+        terms = queried_terms.union(*(below[t] for t, _ in table))
+        partners, least = {}, {}    # per formula: its terms; the default or a lower s+t value
         for t, a in pairs:
             partners.setdefault(a, []).append(t)
         for (u, a), v in table.items():
             if isinstance(u, Sum):
-                least[a] = min(least.get(a, v), v)
+                least[a] = min(least.get(a, default), v)
 
         def value(t, a):
             return table.get((t, a), default)
@@ -309,7 +393,7 @@ def validate_model(model: FittingModel, config: LogicConfig, cs,
                         report.add("FE1", w, f"{e(s, a)} * {e(t, a.left)} = {need} "
                                              f"> {e(App(s, t), a.right)} = {got}")
             report.checks += 2 * len(terms)
-            if min(default, least.get(a, default)) < base:    # some s+t, t+s may be below
+            if least.get(a, default) < base:    # some s+t, t+s may be below
                 for u in (Sum(x, y) for t in terms for x, y in ((s, t), (t, s))):
                     if value(u, a) < base:
                         report.add("FE2", w, f"{e(s, a)} = {base} > {e(u, a)} = {value(u, a)}")
@@ -318,11 +402,14 @@ def validate_model(model: FittingModel, config: LogicConfig, cs,
                     report.checks += 1
                     if base < value(x, a):
                         report.add("FE2", w, f"{e(x, a)} = {value(x, a)} > {e(s, a)} = {base}")
-            if isinstance(s, Const) and cs is not None and cs.covers(s.name, a, config):
-                report.checks += 1
-                if base != ONE:
-                    report.add("FE3", w, f"specified constant {s.name} has evidence "
-                                         f"{base} != 1 for {print_formula(a)}")
+            if isinstance(s, Const) and cs is not None:
+                if (s, a) not in covered:
+                    covered[(s, a)] = cs.covers(s.name, a, config)
+                if covered[(s, a)]:
+                    report.checks += 1
+                    if base != ONE:
+                        report.add("FE3", w, f"specified constant {s.name} has evidence "
+                                             f"{base} != 1 for {print_formula(a)}")
 
     rank = {w: i for i, w in enumerate(model.worlds)}
     report.violations.sort(key=lambda v: (rank.get(v.world, -1), v.kind, v.message))

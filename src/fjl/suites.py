@@ -22,8 +22,8 @@ from .generate import (
 from .lifting import degree_interval, lift
 from .logics import LogicConfig, active_schemes
 from .models import (
-    FittingModel, crisp_eval, embed_rpl_valuation, eval_formula, eval_mkrtychev,
-    eval_worlds, validate_model,
+    FittingModel, crisp_eval, embed_rpl_valuation, eval_formula, eval_many,
+    eval_mkrtychev, eval_worlds, validate_model,
 )
 from .parser import parse_formula
 from .proofs import (
@@ -218,8 +218,8 @@ def _theorem_suite(name: str, config: LogicConfig, instances_fn,
         if not validate_model(model, config, cs, goals).ok:
             report.fail(f"model@{seed + k}", "generated model failed validation")
             continue
-        for label, conclusion in conclusions:
-            for w, value in eval_worlds(model, conclusion).items():
+        for (label, conclusion), values in zip(conclusions, eval_many(model, goals)):
+            for w, value in values.items():
                 if value != ONE:
                     report.fail(f"{label}@{seed + k}",
                                 f"value < 1 at {w}: {print_formula(conclusion)}")
@@ -304,17 +304,18 @@ def soundness_suite(count: int = 60, seed: int = 0,
                 report.fail(f"{logic_name}/{kind}@{seed + k}",
                             "generated model failed validation")
                 continue
-            for name, inst in instances:
+            # sampled premises of modus ponens, evaluated with the instances
+            a = expand_sugar(random_formula(rng, config, 2))
+            b = expand_sugar(random_formula(rng, config, 2))
+            *values, va, vab, vb = eval_many(model, goals + [a, Implies(a, b), b])
+            for (name, inst), inst_values in zip(instances, values):
                 report.cases += 1
-                for w, value in eval_worlds(model, inst).items():
+                for w, value in inst_values.items():
                     if value != ONE:
                         report.fail(f"{logic_name}/{name}@{seed + k}",
                                     f"axiom instance {print_formula(inst)} = {value} at {w}")
-            # modus ponens preservation on sampled premises
+            # modus ponens preserves value 1
             report.cases += 1
-            a = expand_sugar(random_formula(rng, config, 2))
-            b = expand_sugar(random_formula(rng, config, 2))
-            va, vab, vb = (eval_worlds(model, g) for g in (a, Implies(a, b), b))
             for w in model.worlds:
                 if va[w] == ONE and vab[w] == ONE and vb[w] != ONE:
                     report.fail(f"{logic_name}/MP@{seed + k}", f"not preserved at {w}")
@@ -338,8 +339,7 @@ def graded_semantics_suite(count: int = 100, seed: int = 0, **_) -> SuiteReport:
         if not validate_model(model, _RPLJ, cs, goals).ok:
             report.fail(f"seed {seed + k}", "generated model failed validation")
             continue
-        justified = eval_worlds(model, Justified(t, a))
-        form_values = [eval_worlds(model, form) for form in forms]
+        justified, *form_values = eval_many(model, [Justified(t, a), *forms])
         for w, value in justified.items():
             report.cases += 1
             relations = (value >= r, value <= r, value == r)
@@ -387,9 +387,9 @@ def uncertainty_suite(count: int = 100, seed: int = 0, **_) -> SuiteReport:
         if not validate_model(model, _RPLJ, cs, goals).ok:
             report.fail(f"seed {seed + k}", "generated model failed validation")
             continue
-        for name, f in principles:
+        for (name, f), values in zip(principles, eval_many(model, goals)):
             report.cases += 1
-            for w, value in eval_worlds(model, f).items():
+            for w, value in values.items():
                 if value != ONE:
                     report.fail(f"{name}@{seed + k}",
                                 f"{print_formula(f)} = {value} at {w}")

@@ -25,7 +25,7 @@ import weakref
 from fractions import Fraction
 from functools import partial
 from operator import methodcaller
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -373,14 +373,28 @@ def _postorder(root, children, entered: set) -> list:
     return order
 
 
+_NODES = methodcaller("_nodes")
+_OPERANDS = methodcaller("_operands")
+
+
 def subterms(t: Term) -> Iterator[Term]:
     """The distinct subterms of ``t``, ``t`` included."""
-    return iter(_postorder(t, methodcaller("_nodes"), set()))
+    return iter(_postorder(t, _NODES, set()))
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
     """The distinct subformulas of ``f``, ``f`` included; terms are not entered."""
-    return iter(_postorder(f, methodcaller("_operands"), set()))
+    return iter(_postorder(f, _OPERANDS, set()))
+
+
+def subformulas_many(roots: Iterable[Formula]) -> list:
+    """The distinct subformulas of all ``roots``, each after its operands:
+    one walk with one ``entered`` set, as :func:`print_many` makes."""
+    entered: set = set()
+    order: list = []
+    for root in roots:
+        order += _postorder(root, _OPERANDS, entered)
+    return order
 
 
 def justified_pairs(f: Formula) -> set:
@@ -466,7 +480,7 @@ def print_many(roots: Sequence) -> list:
     child or as a root.
     """
     entered: set = set()
-    walks = [_postorder(root, methodcaller("_nodes"), entered) for root in roots]
+    walks = [_postorder(root, _NODES, entered) for root in roots]
     uses: dict = {}
     for root, walk in zip(roots, walks):
         uses[root] = uses.get(root, 0) + 1

@@ -255,3 +255,36 @@ def test_json_error_of_a_rejected_internalize_input(capsys, tmp_path):
     assert main(["--json", "internalize", "--cs", "total", str(bad)]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is False and "rejected" in payload["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "--json", "t:{>=2/3}p"],
+    ["parse", "t:{>=2/3}p", "--json"],
+], ids=["flag-before-formula", "flag-last"])
+def test_json_flag_after_the_subcommand(capsys, argv):
+    assert main(["--json", "parse", "t:{>=2/3}p"]) == 0
+    before = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == before
+    assert json.loads(before)["formula"] == "t:{>=2/3}p"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--json", "no-such-command"], "invalid choice: 'no-such-command'"),
+    (["--json", "suite", "warp-drive"], "invalid choice: 'warp-drive'"),
+    (["--json", "parse"], "the following arguments are required: formula"),
+    (["parse", "--json"], "the following arguments are required: formula"),
+    (["parse", "p", "--json", "--bogus"], "unrecognized arguments: --bogus"),
+], ids=["command", "suite-name", "missing-formula", "missing-formula-flag-after",
+        "unknown-flag"])
+def test_json_usage_errors(capsys, argv, message):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert set(payload) == {"ok", "error"} and payload["ok"] is False
+    assert message in payload["error"]
+    assert err == ""
+    plain = [a for a in argv if a != "--json"]
+    assert main(plain) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: fjl") and message in err

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from fjl.logics import (
-    FMeta, SUM1, SUM2, LogicConfig, Scheme, active_schemes, axiom_instance_of,
-    schemes_by_tag,
+    FMeta, RMeta, SUM1, SUM2, TMeta, LogicConfig, Scheme, active_schemes,
+    axiom_instance_of, schemes_by_tag,
 )
 from fjl.parser import parse_formula
 from fjl.syntax import Implies, Prop, expand_sugar
@@ -134,3 +134,30 @@ def test_free_metavariables_in_first_occurrence_order():
     assert [m.name for m in tc1.free_metavariables()] == ["r", "r'"]
     bl4, = schemes_by_tag(BLJ)["BL4"]
     assert [m.name for m in bl4.free_metavariables()] == ["A", "B"]
+
+
+def _walked_metavariables(pattern, found: list) -> list:
+    """The metavariables of ``pattern`` in pre-order, repeats included."""
+    if isinstance(pattern, (FMeta, TMeta, RMeta)):
+        found.append(pattern)
+    else:
+        for child in pattern._nodes():
+            _walked_metavariables(child, found)
+    return found
+
+
+def test_cached_free_metavariables_match_a_walk_of_the_pattern():
+    configs = [LogicConfig.from_name(name, extras=extras, crisp=crisp)
+               for name in ("BL", "BLJ", "L", "LJ", "G", "GJ", "Pi", "PiJ", "RPL", "RPLJ")
+               for extras in ((), ("jT",), ("jD",), ("jT", "jD"))
+               for crisp in (False, True)]
+    configs.append(LogicConfig.from_name("J"))
+    for config in configs:
+        for scheme in active_schemes(config):
+            computed = {name for name, _ in scheme.side}
+            walked = []
+            for m in _walked_metavariables(scheme.pattern, []):
+                if m not in walked and not (isinstance(m, RMeta) and m.name in computed):
+                    walked.append(m)
+            assert scheme.free_metavariables() == tuple(walked), (config.name, scheme.name)
+            assert scheme.free_metavariables() is scheme.free_metavariables()

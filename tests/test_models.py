@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -9,7 +10,7 @@ from conftest import terms, unit_rationals
 from fjl.logics import LogicConfig
 from fjl.models import (
     FittingModel, MkrtychevModel, ModelError, crisp_eval, embed_rpl_valuation,
-    eval_box, eval_formula, eval_mkrtychev, eval_worlds, is_valid_in_model,
+    eval_box, eval_formula, eval_many, eval_mkrtychev, eval_worlds, is_valid_in_model,
     load_model, model_from_dict, model_to_dict, validate_model,
 )
 from fjl.parser import parse_formula
@@ -121,6 +122,35 @@ def test_validate_fe3_total_cs_covers_axiom_instances():
     m = single_world(evid={(Const("c1"), body): Fraction(3, 4)})
     report = validate_model(m, RPLJ, TotalCS())
     assert any(v.kind == "FE3" for v in report.violations)
+
+
+class _CountingCS:
+    """A constant specification that counts the questions put to it."""
+
+    def __init__(self, cs):
+        self.cs, self.asked = cs, Counter()
+
+    def covers(self, constant, body, config):
+        self.asked[(constant, body)] += 1
+        return self.cs.covers(constant, body, config)
+
+
+def test_validate_fe3_asks_the_cs_once_per_pair():
+    axiom = expand_sugar(parse_formula("(p & q) -> p"))
+    worlds = ("w0", "w1", "w2")
+    evidence = {(w, Const("c1"), axiom): ONE for w in worlds}
+    evidence[("w1", Const("c1"), axiom)] = Fraction(1, 2)
+    evidence.update({(w, Const("c2"), p): Fraction(1, 3) for w in worlds})
+    m = FittingModel(worlds=worlds, access=frozenset((u, v) for u in worlds for v in worlds),
+                     tnorm=L, valuation={}, evidence=evidence)
+    cs = _CountingCS(TotalCS())
+    report = validate_model(m, RPLJ, cs, [Justified(Const("c3"), q),
+                                          Justified(Const("c1"), axiom)])
+    assert cs.asked == {("c1", axiom): 1, ("c2", p): 1, ("c3", q): 1}
+    # the answer still applies at every world
+    assert [(v.kind, v.world) for v in report.violations] == [("FE3", "w1")]
+    assert report.checks == validate_model(m, RPLJ, TotalCS(), [
+        Justified(Const("c3"), q), Justified(Const("c1"), axiom)]).checks
 
 
 def test_validate_frame_demands():
@@ -317,41 +347,70 @@ def _formulas(depth: int):
     )
 
 
-#: Model values, drawn uniformly so that interior values are common.
-_VALUES = st.sampled_from(sorted({Fraction(n, d) for d in range(1, 7) for n in range(d + 1)}))
+#: Model values, drawn uniformly so that interior values are common; the
+#: denominators of 1/7, 1/9 and 5/8 make the integer grid of a
+#: Lukasiewicz or Goedel model fine (D up to lcm(1, ..., 9) = 2520).
+_VALUES = st.sampled_from(sorted({Fraction(n, d) for d in range(1, 7) for n in range(d + 1)}
+                                 | {Fraction(1, 7), Fraction(1, 9), Fraction(5, 8)}))
 
 
 @st.composite
-def _models_with_formula(draw):
-    """A formula of depth <= 4 and a model of 1-3 worlds with arbitrary
-    access, dead ends included, and evidence for some of its t:A pairs."""
-    f = draw(_formulas(4))
+def _models_with_formulas(draw):
+    """Formulas of depth <= 4, the later ones built from the first two so
+    that they share subformulas, and one model of 1-3 worlds per t-norm
+    with arbitrary access, dead ends included, and evidence for some of
+    their t:A pairs."""
+    f, g = draw(_formulas(4)), draw(_formulas(3))
+    formulas = [f, g, Implies(f, g), StrongConj(g, Neg(f)), Justified(draw(terms), f),
+                WeakConj(g, f)]
     worlds = tuple(f"w{i}" for i in range(draw(st.integers(1, 3))))
     access = draw(st.frozensets(st.sampled_from([(a, b) for a in worlds for b in worlds])))
     valuation = {(w, p): draw(_VALUES) for w in worlds for p in "pqr"}
     evidence = {}
-    for t, a in sorted(justified_pairs(f), key=lambda pair: (print_term(pair[0]), print_formula(pair[1]))):
+    pairs = set().union(*map(justified_pairs, formulas))
+    for t, a in sorted(pairs, key=lambda pair: (print_term(pair[0]), print_formula(pair[1]))):
         for w in worlds:
             value = draw(st.none() | _VALUES)
             if value is not None:
                 evidence[(w, t, a)] = value
-    model = FittingModel(worlds=worlds, access=access,
-                         tnorm=draw(st.sampled_from(list(TNormKind))),
-                         valuation=valuation, evidence=evidence,
-                         default_evidence=draw(_VALUES), default_valuation=draw(_VALUES))
-    return model, f
+    defaults = {"default_evidence": draw(_VALUES), "default_valuation": draw(_VALUES)}
+    models = [FittingModel(worlds=worlds, access=access, tnorm=kind, valuation=valuation,
+                           evidence=evidence, **defaults) for kind in TNormKind]
+    return models, formulas
 
 
-@settings(max_examples=120, deadline=None)
-@given(_models_with_formula())
+@settings(max_examples=80, deadline=None)
+@given(_models_with_formulas())
 def test_evaluators_agree_with_naive_recursion(case):
-    m, f = case
-    g = expand_sugar(f)
-    expected = {w: _naive_value(m, w, g) for w in m.worlds}
-    assert eval_worlds(m, f) == expected
-    for w in m.worlds:
-        assert eval_formula(m, w, f) == expected[w]
-        assert eval_box(m, w, f) == _naive_box(m, w, g)
+    models, formulas = case
+    f, g = formulas[0], expand_sugar(formulas[0])
+    for m in models:
+        expected = {w: _naive_value(m, w, g) for w in m.worlds}
+        assert eval_worlds(m, f) == expected
+        for w in m.worlds:
+            assert eval_formula(m, w, f) == expected[w]
+            assert eval_box(m, w, f) == _naive_box(m, w, g)
+        # one shared pass over formulas with common subformulas
+        assert eval_many(m, formulas) == [
+            {w: _naive_value(m, w, expand_sugar(h)) for w in m.worlds} for h in formulas]
+
+
+@pytest.mark.parametrize("kind", list(TNormKind), ids=lambda kind: kind.code)
+def test_truth_constants_off_the_models_grid_evaluate_exactly(kind):
+    # The model's values have denominators 7, 9 and 8 (grid D = 504); the
+    # formulas' constants 1/11 and 2/13 divide no such D, so the grid
+    # must grow to take them.
+    m = FittingModel(worlds=("w0", "w1"), access=frozenset({("w0", "w1"), ("w1", "w1")}),
+                     tnorm=kind, valuation={("w0", "p"): Fraction(1, 7), ("w1", "p"): Fraction(5, 8),
+                                            ("w0", "q"): Fraction(1, 9)},
+                     evidence={("w1", s, p): Fraction(5, 8)})
+    formulas = [parse_formula(text) for text in (
+        "#1/11", "p -> #1/11", "#2/13 -> q", "s:p & #1/11", "p & #2/13", "~#1/11 -> s:p",
+        "(p -> #1/11) -> (#2/13 -> q)")]
+    got = eval_many(m, formulas)
+    for h, values in zip(formulas, got):
+        assert values == {w: _naive_value(m, w, expand_sugar(h)) for w in m.worlds}, h
+    assert got[0] == {"w0": Fraction(1, 11), "w1": Fraction(1, 11)}
 
 
 def _negations(n):

@@ -431,8 +431,7 @@ def model_to_dict(model: FittingModel) -> dict:
     for (w, p), v in sorted(model.valuation.items()):
         val.setdefault(w, {})[p] = format_rational(v)
     evid: dict = {}
-    # Sorted by world, then by the printed texts, which are iterative and
-    # unique per node; a node's repr recurses and fails on deep formulas.
+    # Sorted by world, then by the printed texts, which are unique per node.
     rows = sorted((w, print_term(t), print_formula(a), v)
                   for (w, t, a), v in model.evidence.items())
     for w, term, formula, v in rows:

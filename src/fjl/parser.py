@@ -24,10 +24,10 @@ One compiled regular expression, symbols longest first, lexes the text
 into a flat list of token texts.  The parser never backtracks: an
 ``IDENT`` not followed by ``.``, ``+`` or ``:`` is a proposition; else,
 and at each ``(``, a term scan that records which groups are terms
-tells whether a ``:`` follows.  Explicit stacks replace recursion; input
-nested deeper than ``MAX_DEPTH`` is a ``ParseError``.  The parser calls
-the node constructors of :mod:`fjl.syntax`, which intern every node, so
-equal subformulas are one object, within one text and across texts.
+tells whether a ``:`` follows.  Explicit stacks replace recursion, so
+nesting depth is bounded by memory.  The parser calls the node
+constructors of :mod:`fjl.syntax`, which intern every node, so equal
+subformulas are one object, within one text and across texts.
 
 The calls of one ``formula_reader`` share a group table (a packrat memo,
 Ford 2002); ``parse_formula`` is a one-shot reader.  Before a text with
@@ -36,20 +36,10 @@ a ``(`` is parsed, one pass over its tokens gives each matched ``(`` a
 each inner group replaced by its id, so equal groups of any of the
 reader's texts share one id and the table holds O(tokens) references.
 When a parenthesised formula closes, its node is stored under its id
-with its length in tokens and its *need*: the deepest level its parse
-reached above the level at its ``(``, the 3 levels per ``(`` of its term
-scans included.  At a ``(`` whose id is stored, the parser takes the node
-and jumps past the ``)`` when both hold:
-
-* the token after the ``)`` is none of ``:``, ``.`` and ``+``; else the
-  group may start a term, as in ``(p):q`` or ``(x).y:p``;
-* the current level plus the need is at most ``MAX_DEPTH``, so a group
-  met first shallow and again near the bound raises what a fresh parse
-  raises.
-
-A group whose ``(`` the term scan of an enclosing ``(`` has already read
-is not stored: that scan spent levels outside the group, so the group's
-own peak would understate its need.  A shared table never changes a
+with its length in tokens.  At a ``(`` whose id is stored, the parser
+takes the node and jumps past the ``)`` unless the token after the
+``)`` is one of ``:``, ``.`` and ``+``: then the group may start a
+term, as in ``(p):q`` or ``(x).y:p``.  A shared table never changes a
 result: each text gives the node, or the error class and position, a
 fresh parse gives.
 """
@@ -103,16 +93,8 @@ _BINARY = {"==": (1, Equiv), "<->": (1, BiImpl), "->": (2, Implies),
            "\\/": (3, WeakDisj), "/\\": (4, WeakConj), "&": (5, StrongConj)}
 _GRADES = {"{>=": GradedAtLeast, "{<=": GradedAtMost, "{==": GradedExact}
 
-#: Nesting bound in grammar levels: seven for a parenthesised formula, three
-#: for a parenthesised term or a ``t:``, one for ``~`` or a right operand of
-#: ``->`` -- the frames the recursive parser this one replaced spent, so all
-#: it parsed within the default recursion limit still parses.
-MAX_DEPTH = 1000
-_TOO_DEEP = "nested too deeply"
-
-# Formula stack frames: (_BOTTOM, 0), (_GROUP, levels, "(" index or None
-# if not to be stored, the enclosing group's peak), (_PREFIX, levels,
-# class, args) and (_BIN, levels, precedence, class, left).
+# Formula stack frames: (_BOTTOM,), (_GROUP, "(" index), (_PREFIX, class,
+# args) and (_BIN, precedence, class, left).
 _BOTTOM, _GROUP, _PREFIX, _BIN = range(4)
 _PARENS = frozenset("()")
 #: Tokens after a group's ")" that may make the group part of a term.
@@ -205,23 +187,15 @@ class _Parser:
                              "in the language", i, ConstantNotAllowedError)
         return value, after
 
-    def term(self, i: int, depth: int):
-        """The term at token ``i`` and the index after it, or None and the
-        error and index where the scan stopped; then the deepest level the
-        scan reached."""
+    def term(self, i: int):
+        """The term at token ``i`` and the index after it, or None and what
+        was expected and the index where the scan stopped."""
         tokens, groups = self.tokens, self.groups
         stack, operand = [], True   # "(" indices of open groups, (precedence, class, left)
-        top = depth
         while True:
             tok = tokens[i]
             if operand:
                 if tok == "(" and i not in groups:
-                    depth += 3
-                    if depth > top:
-                        top = depth
-                    if depth > MAX_DEPTH:
-                        error = _TOO_DEEP
-                        break
                     stack.append(i)
                     i += 1
                     continue
@@ -240,92 +214,75 @@ class _Parser:
                 stack.append((prec, App if prec == 2 else Sum, t))
                 operand = True
             elif not stack:
-                return t, i, top
+                return t, i
             elif tok == ")":
                 groups[stack.pop()] = (t, i + 1)
-                depth -= 3
             else:
                 error = "')'"
                 break
             i += 1
         groups.update((g, (None, g)) for g in stack if g.__class__ is int)
-        return None, (error, i), top
+        return None, (error, i)
 
     def formula(self, ids: dict, memo: dict) -> Formula:
         """The formula that makes up the whole input.  ``ids`` and ``memo``
-        are the group table: group ids, and group id -> (its formula, the
-        levels its parse needs, its length in tokens)."""
-        tokens, groups = self.tokens, self.groups
+        are the group table: group ids, and group id -> (its formula, its
+        length in tokens)."""
+        tokens = self.tokens
         gids = _group_ids(tokens, ids) if "(" in self.text else {}
-        # ``peak``: the deepest level reached since the innermost open group opened.
-        stack, depth, peak, frame, i = [(_BOTTOM, 0)], 0, 0, None, 0
+        stack, frame, i = [(_BOTTOM,)], None, 0
         while True:
             if frame is not None:   # opened by token i
-                depth += frame[1]
-                if depth > MAX_DEPTH:
-                    raise self.error(_TOO_DEEP, i)
-                if depth > peak:
-                    peak = depth
                 stack.append(frame)
                 i += 1
             tok, frame = tokens[i], None
             if tok == "~":
-                frame = (_PREFIX, 1, Neg, ())
+                frame = (_PREFIX, Neg, ())
                 continue
             if tok == "#":
                 value, i = self.constant(i + 1)
                 f = TruthConst(value)
             elif (tok == "(" and (known := memo.get(gids.get(i))) is not None
-                  and depth + known[1] <= MAX_DEPTH
-                  and tokens[i + known[2]] not in _TERM_FOLLOW):
-                f, i = known[0], i + known[2]
-                if depth + known[1] > peak:
-                    peak = depth + known[1]
+                  and tokens[i + known[1]] not in _TERM_FOLLOW):
+                f, i = known[0], i + known[1]
             elif tok == "(" or _is_ident(tok):
-                fresh = i not in groups     # no enclosing scan has read it
                 if tok == "(" or tokens[i + 1] == "." or tokens[i + 1] == "+":
-                    term, after, top = self.term(i, depth)
+                    term, after = self.term(i)
                 else:
-                    term, after, top = tok, i + 1, depth
+                    term, after = tok, i + 1
                 if term is not None and tokens[after] == ":":
                     if term is tok:
                         term = term_atom(tok)
                     cls, i = _GRADES.get(tokens[after + 1], Justified), after
                     if cls is Justified:
-                        frame = (_PREFIX, 3, cls, (term,))
+                        frame = (_PREFIX, cls, (term,))
                     else:
                         grade, i = self.constant(after + 2)
                         if tokens[i] != "}":
                             raise self.expected("'}'", i)
-                        frame = (_PREFIX, 3, cls, (grade, term))
-                elif tok == "(":
-                    # The group's own peak starts with its term scan.
-                    frame = (_GROUP, 7, i if fresh else None, peak)
-                    peak = top
+                        frame = (_PREFIX, cls, (grade, term))
                     continue
-                else:
-                    f, i = Prop(tok), i + 1
-                if top > peak:
-                    peak = top
-                if frame is not None:
+                if tok == "(":
+                    frame = (_GROUP, i)
                     continue
+                f, i = Prop(tok), i + 1
             else:
                 raise self.expected("a formula", i)
             # ``f`` is complete: apply prefixes, take a connective or close a group.
             while frame is None:
                 while stack[-1][0] == _PREFIX:
-                    _, levels, cls, args = stack.pop()
-                    f, depth = cls(*args, f), depth - levels
+                    _, cls, args = stack.pop()
+                    f = cls(*args, f)
                 op = _BINARY.get(tokens[i])
                 prec = op[0] if op else 0
                 # Tighter connectives close first; '->' is right-associative.
-                while stack[-1][0] == _BIN and (stack[-1][2] > prec or stack[-1][2] == prec != 2):
-                    if stack[-1][2] == prec == 1:
+                while stack[-1][0] == _BIN and (stack[-1][1] > prec or stack[-1][1] == prec != 2):
+                    if stack[-1][1] == prec == 1:
                         op, prec = None, 0      # '==' and '<->' do not chain
-                    _, levels, _, cls, left = stack.pop()
-                    f, depth = cls(left, f), depth - levels
+                    _, _, cls, left = stack.pop()
+                    f = cls(left, f)
                 if op is not None:
-                    frame = (_BIN, int(prec == 2), prec, op[1], f)
+                    frame = (_BIN, prec, op[1], f)
                     continue
                 group = stack.pop()
                 if group[0] == _BOTTOM:
@@ -334,12 +291,8 @@ class _Parser:
                     return f
                 if tokens[i] != ")":
                     raise self.expected("')'", i)
-                _, levels, start, outer = group
-                depth -= levels
-                if start is not None:
-                    memo[gids[start]] = (f, peak - depth, i + 1 - start)
-                if outer > peak:
-                    peak = outer
+                start = group[1]
+                memo[gids[start]] = (f, i + 1 - start)
                 i += 1
 
 
@@ -361,10 +314,9 @@ def parse_formula(text: str, config=None) -> Formula:
 
 def parse_term(text: str) -> Term:
     p = _Parser(text, None)
-    t, i, _ = p.term(0, 0)
+    t, i = p.term(0)
     if t is None:
-        error, i = i
-        raise p.error(error, i) if error is _TOO_DEEP else p.expected(error, i)
+        raise p.expected(*i)
     if p.tokens[i] != EOF:
         raise p.error(f"unexpected trailing input {p.tokens[i]!r}", i)
     return t

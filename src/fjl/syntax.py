@@ -11,10 +11,10 @@ connectives, both equivalences and the graded assertion forms
 Nodes are immutable and hash-consed (Filliatre & Conchon, "Type-Safe
 Modular Hash-Consing", 2006): equal nodes are one object, so ``==`` is
 ``is`` and hashing is by identity.  A weak table holds each live node,
-and a node keeps its own sugar expansion.  Expansion, printing and the
-structure walks use explicit stacks, so depth is bounded by memory, not
-by the recursion limit.  Truth values are exact ``fractions.Fraction``
-instances restricted to [0, 1].
+and a node keeps its own sugar expansion.  Expansion, printing,
+``repr`` and the structure walks use explicit stacks, so depth is
+bounded by memory, not by the recursion limit.  Truth values are exact
+``fractions.Fraction`` instances restricted to [0, 1].
 """
 
 from __future__ import annotations
@@ -96,10 +96,21 @@ class _Node:
         return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __repr__(self) -> str:
-        # Recursive: models sort by the repr of small formulas, where a
-        # walk costs several times more; the common shapes override it.
-        fields = [f"{name}={getattr(self, name)!r}" for name in self._fields]
-        return f"{type(self).__name__}({', '.join(fields)})"
+        # Each node pushes its pieces, last first, in place of itself, so
+        # the text is written once, left to right, at any depth.
+        out, stack = [], [self]
+        while stack:
+            g = stack.pop()
+            if g.__class__ is str:
+                out.append(g)
+                continue
+            pieces = [")"]
+            for name in reversed(g._fields):
+                value = getattr(g, name)
+                pieces += (value if isinstance(value, _Node) else repr(value), f"{name}=", ", ")
+            pieces[-1] = f"{type(g).__name__}("
+            stack += pieces
+        return "".join(out)
 
     def __str__(self) -> str:
         return print_many((self,))[0]
@@ -124,9 +135,6 @@ class _Named(_Node):
         key = (cls, name)
         return _table.get(key, _MISSING)() or _new(cls, key, name)
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r})"
-
 
 class _Pair(_Node):
     __slots__ = ()
@@ -139,9 +147,6 @@ class _Pair(_Node):
 class _Binary(_Pair):
     __slots__ = ("left", "right")
     _fields = ("left", "right")
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(left={self.left!r}, right={self.right!r})"
 
     def _nodes(self) -> tuple:
         return self.left, self.right

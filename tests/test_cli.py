@@ -1,13 +1,25 @@
+import contextlib
+import io
 import json
+import os
+import random
+import tempfile
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from fjl.cli import main
-from fjl.models import FittingModel, save_model
+from fjl.generate import random_derivation, random_model
+from fjl.logics import LogicConfig
+from fjl.models import FittingModel, model_to_dict, save_model
 from fjl.parser import parse_formula
+from fjl.proofs import TotalCS, format_derivation
 from fjl.syntax import Prop, Var, expand_sugar, print_formula
 from fjl.tnorms import TNormKind
+from conftest import formulas
+from test_parser_oracle import ALPHABET
 
 
 @pytest.fixture
@@ -69,6 +81,26 @@ def test_validate_model_command(capsys, model_file, tmp_path):
 def test_eval_deep_formula(capsys, model_file):
     assert main(["eval", "--model", model_file, "--formula", "~" * 1000 + "p"]) == 0
     assert capsys.readouterr().out.strip() == "w0: 7/10"
+
+
+def test_eval_on_a_saved_model_with_deep_evidence_and_query(capsys, tmp_path):
+    # The evidence formula is saved sugar-expanded: 20,000 nested parentheses.
+    deep = parse_formula("~" * 20_000 + "p")
+    m = FittingModel(
+        worlds=("w0",), access=frozenset(), tnorm=TNormKind.LUKASIEWICZ,
+        valuation={("w0", "p"): Fraction(7, 10)},
+        evidence={("w0", Var("t"), deep): Fraction(1, 2)})
+    path = tmp_path / "deep.json"
+    save_model(m, str(path))
+    assert main(["eval", "--model", str(path), "--formula", "t:" + "~" * 20_000 + "p"]) == 0
+    assert capsys.readouterr().out.strip() == "w0: 1/2"
+
+
+def test_degree_witness_reads_back(capsys, tmp_path):
+    assert main(["degree", "--formula", "~" * 150 + "p", "--witness-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["check-proof", str(tmp_path / "lower_witness.proof")]) == 0
+    assert capsys.readouterr().out.startswith("accepted")
 
 
 def test_validate_model_deep_evidence_formula(capsys, tmp_path):
@@ -195,18 +227,16 @@ def test_seed_env_override(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_parse_deep_input_is_an_error_not_a_traceback(capsys):
-    assert main(["parse", "~" * 3000 + "p"]) == 2
-    assert "nested too deeply" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("flags", [[], ["--expand"]], ids=["plain", "expand"])
 @pytest.mark.parametrize("text", [
     "~" * 600 + "p",
     "~" * 1000 + "p",
+    "~" * 20_000 + "p",
+    "t:" * 20_000 + "p",
     "p & " * 5000 + "p",
     ".".join(["x"] * 5000) + ":p",
-], ids=["negations-600", "negations-1000", "conjunctions-5000", "applications-5000"])
+], ids=["negations-600", "negations-1000", "negations-20000", "justifications-20000",
+        "conjunctions-5000", "applications-5000"])
 def test_parse_deep_input_succeeds(capsys, flags, text):
     assert main(["parse", *flags, text]) == 0
     expected = print_formula(expand_sugar(parse_formula(text))) if flags else text
@@ -288,3 +318,101 @@ def test_json_usage_errors(capsys, argv, message):
     assert main(plain) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("usage: fjl") and message in err
+
+
+# ---------------------------------------------------------------------------
+# The command-line contract: on any input a command exits 0, 1 or 2, no
+# exception escapes, and under --json stdout is one JSON document.
+
+RPLJ = LogicConfig.from_name("RPLJ")
+
+#: Token strings and printed formulas, alone or nested ``n`` deep in a prefix.
+SHORT_TEXTS = st.lists(st.sampled_from(ALPHABET), max_size=16).map(" ".join) \
+    | formulas.map(print_formula)
+TEXTS = SHORT_TEXTS | st.builds(
+    lambda prefix, n, core, close: prefix * n + core + close * n,
+    st.sampled_from(["~", "(", "t:", "p -> ", "(c):", "x."]),
+    st.integers(0, 3000), SHORT_TEXTS, st.sampled_from(["", ")"]))
+
+
+def _model_text(seed, formula):
+    data = model_to_dict(random_model(seed, config=RPLJ))
+    if formula is not None:
+        data["evid"].setdefault(data["worlds"][0], []).append(
+            {"term": "t", "formula": formula, "value": "1/2"})
+    return json.dumps(data, indent=1)
+
+
+GENERATED = {
+    "model": st.builds(_model_text, st.integers(0, 30), st.none() | TEXTS),
+    "proof": st.integers(1, 12).map(lambda seed: format_derivation(
+        random_derivation(random.Random(seed), RPLJ, TotalCS()))),
+    "cs": st.lists(st.just("c1:((p & q) -> p)") | TEXTS, max_size=3).map("\n".join),
+}
+#: Character edits: insert (0), delete (1) or overwrite (2) a piece at a position.
+GARBLE = st.lists(st.tuples(
+    st.integers(0, 2), st.integers(0, 10**6),
+    st.sampled_from(ALPHABET + ['"', "[", "]", ",", "\n", "STEP ", " BY ", "MP 1", "HYP"])),
+    max_size=3)
+
+
+def _garbled(text, edits):
+    for op, k, piece in edits:
+        k %= len(text) + 1
+        text = text[:k] + (piece if op != 1 else "") + text[k + (len(piece) if op else 0):]
+    return text
+
+
+@st.composite
+def _file(draw, kind):
+    """The bytes of a generated file of ``kind``, maybe garbled, or junk."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=40))
+    return _garbled(draw(GENERATED[kind]), draw(st.just([]) | GARBLE)).encode()
+
+
+@st.composite
+def _command(draw):
+    """An argument list and the files it names, as {name: bytes}."""
+    command = draw(st.sampled_from(["parse", "eval", "validate-model", "check-proof",
+                                    "check-cs"]))
+    argv = [command] + draw(st.sampled_from(
+        [[], ["--logic", "BLJ"], ["--logic", "GJ"], ["--logic", "J"], ["--jt"], ["--crisp"]]))
+    files = {}
+    if command in ("validate-model", "check-proof") and draw(st.booleans()):
+        files["cs.txt"] = draw(_file("cs"))
+        argv += ["--cs", "cs.txt"]
+    if command == "parse":
+        argv += draw(st.sampled_from([[], ["--expand"]])) + [draw(TEXTS)]
+    elif command == "eval":
+        files["model.json"] = draw(_file("model"))
+        argv += ["--model", "model.json", "--formula", draw(TEXTS)]
+        argv += draw(st.sampled_from([[], ["--world", "w0"]]))
+    elif command == "validate-model":
+        files["model.json"] = draw(_file("model"))
+        argv += ["--model", "model.json"]
+        argv += draw(st.sampled_from([[], ["--formula", draw(TEXTS)]]))
+    elif command == "check-proof":
+        files["proof.txt"] = draw(_file("proof"))
+        argv += ["proof.txt"]
+    else:
+        files["cs.txt"] = draw(_file("cs"))
+        argv += ["cs.txt"]
+    return draw(st.sampled_from([argv, ["--json"] + argv])), files
+
+
+@settings(max_examples=300, deadline=None)
+@given(_command())
+def test_commands_keep_the_exit_code_contract(command):
+    argv, files = command
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        for name, data in files.items():
+            with open(os.path.join(d, name), "wb") as handle:
+                handle.write(data)
+        argv = [os.path.join(d, a) if a in files else a for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if argv[0] == "--json":
+        json.loads(out.getvalue())

@@ -131,6 +131,17 @@ def test_left_associative_term_chains_round_trip(build):
     assert parse_formula(print_formula(f)) is f
 
 
+@pytest.mark.parametrize("wrap, head", [
+    (Neg, "Neg(body="),
+    (lambda f: Justified(t, f), "Justified(term=Var(name='t'), body="),
+], ids=["negations", "justifications"])
+def test_repr_of_a_deep_chain(wrap, head):
+    f = p
+    for _ in range(2 * DEEP):
+        f = wrap(f)
+    assert repr(f) == head * (2 * DEEP) + "Prop(name='p')" + ")" * (2 * DEEP)
+
+
 def test_deep_negation_tower():
     f = p
     for _ in range(DEEP):

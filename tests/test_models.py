@@ -423,24 +423,19 @@ def _negations(n):
 def test_model_with_deep_evidence_formula_saves_and_round_trips(tmp_path):
     from fjl.models import save_model
 
-    def model(deep):
-        return FittingModel(
-            worlds=("w0",), access=frozenset(), tnorm=L, valuation={},
-            evidence={("w0", Var("t"), deep): Fraction(1, 2),
-                      ("w0", Var("s"), deep): Fraction(1, 3)})
-
     # Evidence formulas are stored expanded, and ``~``x900 ``p`` prints
-    # as 900 nested parentheses: saving must not recurse on them.
-    deep = model(_negations(900))
-    save_model(deep, str(tmp_path / "deep.json"))
+    # as 900 nested parentheses: neither saving nor reading back may
+    # recurse on them.
+    deep = _negations(900)
+    m = FittingModel(
+        worlds=("w0",), access=frozenset(), tnorm=L, valuation={},
+        evidence={("w0", Var("t"), deep): Fraction(1, 2),
+                  ("w0", Var("s"), deep): Fraction(1, 3)})
+    save_model(m, str(tmp_path / "deep.json"))
     entries = json.loads((tmp_path / "deep.json").read_text())["evid"]["w0"]
-    text = print_formula(expand_sugar(_negations(900)))
+    text = print_formula(expand_sugar(deep))
     assert entries == [{"term": "s", "formula": text, "value": "1/3"},
                        {"term": "t", "formula": text, "value": "1/2"}]
-    # Reading back is bounded by the parser's nesting limit (a
-    # parenthesised formula costs 7 of its 1,000 levels).
-    m = model(_negations(140))
-    save_model(m, str(tmp_path / "m.json"))
-    back = load_model(str(tmp_path / "m.json"), RPLJ)
+    back = load_model(str(tmp_path / "deep.json"), RPLJ)
     assert back.evidence == m.evidence
     assert model_to_dict(back) == model_to_dict(m)

@@ -68,6 +68,16 @@ def _add_cs_flag(sub):
                      help="'total', 'empty', or a file with one entry per line")
 
 
+def _at_least(least: int):
+    """An ``int`` flag type that makes a value below ``least`` a usage error."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return integer
+
+
 def _emit(payload: dict, as_json: bool, text: str) -> None:
     if as_json:
         print(json.dumps(payload, indent=2))
@@ -321,10 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cs_flag(p)
     p.add_argument("--hyp", action="append", help="theory formula (repeatable)")
     p.add_argument("--formula", required=True)
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--trials", type=int, default=60)
-    p.add_argument("--worlds", type=int, default=3)
-    p.add_argument("--den", type=int, default=12)
+    p.add_argument("--depth", type=_at_least(0), default=4)
+    p.add_argument("--trials", type=_at_least(0), default=60)
+    p.add_argument("--worlds", type=_at_least(1), default=3)
+    p.add_argument("--den", type=_at_least(1), default=12)
     p.add_argument("--seed", type=int, default=_env_seed())
     p.add_argument("--witness-dir", default=None)
     p.set_defaults(fn=cmd_degree)
@@ -333,9 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_logic_flags(p)
     _add_cs_flag(p)
     p.add_argument("--formula", required=True)
-    p.add_argument("--trials", type=int, default=300)
-    p.add_argument("--worlds", type=int, default=3)
-    p.add_argument("--den", type=int, default=12)
+    p.add_argument("--trials", type=_at_least(0), default=300)
+    p.add_argument("--worlds", type=_at_least(1), default=3)
+    p.add_argument("--den", type=_at_least(1), default=12)
     p.add_argument("--seed", type=int, default=_env_seed())
     p.add_argument("--out", default=None, help="write the model here")
     p.set_defaults(fn=cmd_countermodel)

@@ -35,7 +35,7 @@ from .syntax import (
     StrongConj, Sum, Term, TruthConst, Var, ZERO, expand_sugar, formula_props,
     justified_pairs, subformulas, subterms,
 )
-from .tnorms import luka_tnorm
+from .tnorms import luka_tnorm, tnorm_apply
 
 
 class DegreeError(ValueError):
@@ -316,7 +316,6 @@ def _minimal_model(hyp_e: list, goal_e: Formula, config: LogicConfig,
                 return None
         else:
             return None
-    from .tnorms import tnorm_apply
     for _ in range(len(evid) + 2):
         changed = False
         for (t, a), v in list(evid.items()):

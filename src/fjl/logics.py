@@ -31,7 +31,7 @@ from .syntax import (
     App, Const, FALSUM, Formula, Implies, Justified, Prop, StrongConj, Sum,
     TruthConst, Var, expand_sugar,
 )
-from .tnorms import TNormKind, luka_residuum, luka_tnorm
+from .tnorms import TNormKind, luka_tnorm, residuum_apply
 
 
 class Base(Enum):
@@ -252,7 +252,7 @@ CANCELLATION = Scheme(
 TC1 = Scheme(
     "TC1",
     _equiv(_imp(_R, _R2), _V),
-    side=(("v", lambda b: luka_residuum(b["r"], b["r'"])),),
+    side=(("v", lambda b: residuum_apply(TNormKind.LUKASIEWICZ, b["r"], b["r'"])),),
 )
 TC2 = Scheme(
     "TC2",

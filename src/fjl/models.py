@@ -15,13 +15,10 @@ the same slot.
 ``eval_many`` evaluates several formulas at every world in one bottom-up
 pass over their distinct subformulas; ``eval_worlds`` is its one-formula
 case, and every other evaluator but the oracle ``crisp_eval`` reads off
-it.  Lukasiewicz and Goedel models are evaluated in exact integers on a
-common-denominator grid: with D the lcm of every denominator in the
-model's tables, its defaults and the formulas' truth constants, a value
-v is the integer v*D, and max(0, x+y-D), min(x, y), D-x+y and y stay
-integers on it.  Only the formulas' own values are turned back into
-Fractions.  Product models stay in Fractions, since x*y and y/x leave
-any such grid.
+it.  It defines no truth function: each row of values goes through the
+kind's kernels in ``tnorms``, the one home of the t-norm arithmetic, in
+integers v*D for Lukasiewicz and Goedel (D the lcm of every denominator
+in the model and the formulas' truth constants), in Fractions for product.
 
 ``validate_model`` reads its query pairs off one walk over all the query
 formulas, takes each distinct term's subterms once, and asks the
@@ -33,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from itertools import chain
 from typing import Iterable, Mapping, Optional
 
 from .logics import LogicConfig
@@ -43,7 +40,7 @@ from .syntax import (
     Term, TruthConst, ZERO, as_unit, expand_sugar, format_rational,
     parse_rational, print_formula, print_term, subformulas_many, subterms,
 )
-from .tnorms import TNormKind, tnorm_apply
+from .tnorms import KERNELS, TNormKind, kernel_grid, tnorm_apply
 
 
 class ModelError(ValueError):
@@ -123,62 +120,24 @@ class MkrtychevModel:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def _luka_conj(xs: list, ys: list, top: int) -> list:
-    return [x + y - top if x + y > top else 0 for x, y in zip(xs, ys)]
-
-
-def _luka_imp(xs: list, ys: list, top: int) -> list:
-    return [top if x <= y else top - x + y for x, y in zip(xs, ys)]
-
-
-def _goedel_conj(xs: list, ys: list, top: int) -> list:
-    return [x if x < y else y for x, y in zip(xs, ys)]
-
-
-def _goedel_imp(xs: list, ys: list, top: int) -> list:
-    return [top if x <= y else y for x, y in zip(xs, ys)]
-
-
-def _product_conj(xs: list, ys: list, top: Fraction) -> list:
-    return [x * y for x, y in zip(xs, ys)]
-
-
-def _product_imp(xs: list, ys: list, top: Fraction) -> list:
-    return [top if x <= y else y / x for x, y in zip(xs, ys)]
-
-
-def _on_grid(values: list, top: int) -> list:
-    """Each of ``values`` as the integer n such that it is n/top."""
-    return [v.numerator * (top // v.denominator) for v in values]
-
-
-_LUKASIEWICZ, _GOEDEL = TNormKind.LUKASIEWICZ, TNormKind.GOEDEL
-
-
 def eval_many(model: FittingModel, formulas: Iterable[Formula]) -> list:
     """The truth value of each of ``formulas`` at every world, as one dict
     per formula in ``model.worlds`` order.
 
     One bottom-up pass covers the distinct subformulas of all their
     expansions, so a subformula that several formulas share is evaluated
-    once, one row of values per node.  Lukasiewicz and Goedel values are
-    integers n standing for n/D, D the lcm of the denominators of the
-    model's values and of the truth constants in the walk; only the
-    formulas' own values become Fractions.  Product values leave that
-    grid, so they stay Fractions.
+    once, one row of values per node, by the kind's ``tnorms`` kernels on
+    the grid of the model's values and the walk's truth constants; only
+    the formulas' own values become Fractions.
     """
     roots = [expand_sugar(f) for f in formulas]
     worlds, tk = model.worlds, model.tnorm
     order = subformulas_many(roots)
-    grid = tk is _LUKASIEWICZ or tk is _GOEDEL
-    if grid:
-        conj, imp = (_luka_conj, _luka_imp) if tk is _LUKASIEWICZ else (_goedel_conj, _goedel_imp)
-        top = lcm(*{v.denominator for table in (model.valuation, model.evidence)
-                    for v in table.values()},
-                  *{g.value.denominator for g in order if type(g) is TruthConst},
-                  model.default_evidence.denominator, model.default_valuation.denominator)
-    else:
-        conj, imp, top = _product_conj, _product_imp, ONE
+    conj, imp = KERNELS[tk]
+    top, put, get = kernel_grid(tk, chain(
+        model.valuation.values(), model.evidence.values(),
+        (g.value for g in order if type(g) is TruthConst),
+        (model.default_evidence, model.default_valuation)))
     valuation, evidence = model.valuation.get, model.evidence.get
     default_valuation, default_evidence = model.default_valuation, model.default_evidence
     successors = None
@@ -196,25 +155,18 @@ def eval_many(model: FittingModel, formulas: Iterable[Formula]) -> list:
                 for u, v in model.access:
                     successors[index[u]].append(index[v])
             term, body = g.term, g.body
-            given = [evidence((w, term, body), default_evidence) for w in worlds]
             below = values[body]
-            row = conj(_on_grid(given, top) if grid else given,
+            row = conj(put([evidence((w, term, body), default_evidence) for w in worlds]),
                        [min([below[j] for j in succ], default=top) for succ in successors], top)
         elif cls is Prop:
             name = g.name
-            row = [valuation((w, name), default_valuation) for w in worlds]
-            if grid:
-                row = _on_grid(row, top)
+            row = put([valuation((w, name), default_valuation) for w in worlds])
         elif cls is TruthConst:
-            row = (_on_grid([g.value], top) if grid else [g.value]) * len(worlds)
+            row = put([g.value]) * len(worlds)
         else:
             raise ModelError(f"cannot evaluate {type(g).__name__}")
         values[g] = row
-    if grid:
-        return [dict(zip(worlds, [ONE if x == top else ZERO if not x else Fraction(x, top)
-                                  for x in values[r]]))
-                for r in roots]
-    return [dict(zip(worlds, values[r])) for r in roots]
+    return [dict(zip(worlds, get(values[r]))) for r in roots]
 
 
 def eval_worlds(model: FittingModel, f: Formula) -> dict:

@@ -190,7 +190,7 @@ class TotalCS:
         return bool(constants) and axiom_instance_of(body, config) is not None
 
     def covers(self, constant: str, body: Formula, config: LogicConfig) -> bool:
-        inner_consts, inner = strip_cs_chain(expand_sugar(body), config.graded_necessitation)
+        _, inner = strip_cs_chain(expand_sugar(body), config.graded_necessitation)
         return axiom_instance_of(inner, config) is not None
 
     def constant_for(self, body: Formula) -> str:
@@ -387,9 +387,6 @@ class DerivationBuilder:
         if not isinstance(imp, Implies) or imp.left != self.formula(antecedent):
             raise ProofError("builder modus ponens premises do not fit")
         return self._emit(imp.right, MP(antecedent, implication))
-
-    def ian(self, formula: Formula) -> int:
-        return self._emit(expand_sugar(formula), Ian())
 
     def gian(self, formula: Formula) -> int:
         return self._emit(expand_sugar(formula), Gian())

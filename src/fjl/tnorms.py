@@ -1,7 +1,11 @@
 """The three standard continuous t-norms and their residua, exactly.
 
-Everything here is closed over the rationals in [0, 1], so all
-semantic computations downstream stay exact; no floats anywhere.
+The one home of the truth functions: ``tnorm_apply`` and
+``residuum_apply`` are the scalar ``Fraction`` reference, and
+``KERNELS`` holds each kind's row kernels, which evaluation runs and
+``check_adjunction`` certifies; they compute in integers on a grid of
+denominator D for Lukasiewicz and Goedel (``kernel_grid``) and in
+``Fraction``s for product.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -9,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import lcm
+from typing import Iterable
 
 from .syntax import ONE, ZERO
 
@@ -54,19 +60,57 @@ def luka_tnorm(x: Fraction, y: Fraction) -> Fraction:
     return tnorm_apply(TNormKind.LUKASIEWICZ, x, y)
 
 
-def luka_residuum(x: Fraction, y: Fraction) -> Fraction:
-    return residuum_apply(TNormKind.LUKASIEWICZ, x, y)
+def _luka_conj(xs: list, ys: list, top: int) -> list:
+    return [x + y - top if x + y > top else 0 for x, y in zip(xs, ys)]
+
+
+def _luka_imp(xs: list, ys: list, top: int) -> list:
+    return [top if x <= y else top - x + y for x, y in zip(xs, ys)]
+
+
+def _goedel_conj(xs: list, ys: list, top: int) -> list:
+    return [x if x < y else y for x, y in zip(xs, ys)]
+
+
+def _goedel_imp(xs: list, ys: list, top: int) -> list:
+    return [top if x <= y else y for x, y in zip(xs, ys)]
+
+
+def _product_conj(xs: list, ys: list, top: Fraction) -> list:
+    return [x * y for x, y in zip(xs, ys)]
+
+
+def _product_imp(xs: list, ys: list, top: Fraction) -> list:
+    return [top if x <= y else y / x for x, y in zip(xs, ys)]
+
+
+#: Each kind's row kernels (conj, imp): two equal-length rows of values
+#: and the top value in, the row of results out.
+KERNELS = {
+    TNormKind.LUKASIEWICZ: (_luka_conj, _luka_imp),
+    TNormKind.GOEDEL: (_goedel_conj, _goedel_imp),
+    TNormKind.PRODUCT: (_product_conj, _product_imp),
+}
+
+
+def kernel_grid(kind: TNormKind, values: Iterable[Fraction]) -> tuple:
+    """``(top, put, get)`` for ``kind``'s kernels on ``values``: ``put``
+    takes a list of Fractions to kernel values, ``get`` takes them back.
+    Lukasiewicz and Goedel values v stand as integers v*D, D the lcm of the
+    denominators of ``values``; product values as themselves."""
+    if kind is TNormKind.PRODUCT:
+        return ONE, list, list
+    top = lcm(*{v.denominator for v in values})
+    return (top, lambda values: [v.numerator * (top // v.denominator) for v in values],
+            lambda row: [ONE if n == top else ZERO if not n else Fraction(n, top) for n in row])
 
 
 def unit_rationals(max_denominator: int) -> list[Fraction]:
     """All rationals in [0, 1] with denominator up to the bound, ascending."""
     if max_denominator < 1:
         raise ValueError("denominator bound must be at least 1")
-    values = {ZERO, ONE}
-    for den in range(1, max_denominator + 1):
-        for num in range(den + 1):
-            values.add(Fraction(num, den))
-    return sorted(values)
+    return sorted({Fraction(num, den) for den in range(1, max_denominator + 1)
+                   for num in range(den + 1)})
 
 
 @dataclass
@@ -82,21 +126,21 @@ class AdjunctionReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def summary(self) -> str:
-        status = "pass" if self.ok else f"FAIL ({len(self.violations)} violations)"
-        return (f"adjunction {self.kind.code} denominators<={self.denominator_bound}: "
-                f"{self.triples} triples, {status}")
-
 
 def check_adjunction(kind: TNormKind, denominator_bound: int) -> AdjunctionReport:
-    """Verify the residuation equivalence on the full rational grid."""
-    grid = unit_rationals(denominator_bound)
+    """Verify the residuation equivalence of ``kind``'s kernels on the
+    full rational grid; violations are reported as Fraction triples."""
+    values = unit_rationals(denominator_bound)
+    top, put, _ = kernel_grid(kind, values)
+    points = put(values)
+    conj, imp = KERNELS[kind]
     report = AdjunctionReport(kind, denominator_bound)
-    for x in grid:
-        for y in grid:
-            r = residuum_apply(kind, x, y)
-            for z in grid:
-                report.triples += 1
-                if (tnorm_apply(kind, x, z) <= y) != (z <= r):
-                    report.violations.append((x, y, z))
+    for i, x in enumerate(points):
+        row = [x] * len(points)
+        meets = conj(row, points, top)                        # x * z for every z
+        for j, (y, r) in enumerate(zip(points, imp(row, points, top))):    # r = x => y
+            report.triples += len(points)
+            for k, z in enumerate(points):
+                if (meets[k] <= y) != (z <= r):
+                    report.violations.append((values[i], values[j], values[k]))
     return report

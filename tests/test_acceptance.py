@@ -48,12 +48,14 @@ def test_criterion_03_stock_theorems_checked_and_valid():
 
 
 def test_criterion_04_residuum_monotonicity_and_graded_semantics():
+    start = time.perf_counter()
     grid = run_suite("residuum-monotonicity", bound=8)
     graded = run_suite("graded-semantics", count=200, seed=0)
+    elapsed = time.perf_counter() - start
     _verdict(4, "residuum monotonicity grid + graded-assertion semantics",
-             grid.ok and graded.ok,
+             grid.ok and graded.ok and elapsed < 5.0,
              f"{grid.cases + graded.cases} cases, "
-             f"{len(grid.failures) + len(graded.failures)} failures")
+             f"{len(grid.failures) + len(graded.failures)} failures, {elapsed:.1f}s")
 
 
 def test_criterion_05_lifting_fuzz():

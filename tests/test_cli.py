@@ -199,6 +199,37 @@ def test_degree_command_json(capsys, tmp_path):
     capsys.readouterr()
 
 
+_COUNTERMODEL = ["countermodel", "--formula", "p"]
+_DEGREE = ["degree", "--formula", "q", "--hyp", "p"]
+
+
+@pytest.mark.parametrize("command, flag, value, least", [
+    (command, flag, value, least)
+    for command in (_COUNTERMODEL, _DEGREE)
+    for flag, value, least in (("--den", "0", 1), ("--den", "-3", 1), ("--worlds", "0", 1),
+                               ("--trials", "-1", 0), ("--depth", "-1", 0))
+    if flag != "--depth" or command is _DEGREE
+])
+def test_budget_flags_below_their_least_value_are_usage_errors(
+        capsys, command, flag, value, least):
+    message = f"argument {flag}: must be at least {least}, got {value}"
+    assert main(["--json", *command, flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"ok": False, "error": message} and err == ""
+    assert main([*command, flag, value]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_budget_flags_at_their_least_value_run(capsys):
+    assert main(["--json", *_COUNTERMODEL, "--den", "1", "--worlds", "1",
+                 "--trials", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["found"] is True
+    assert main(["--json", *_DEGREE, "--den", "1", "--worlds", "1",
+                 "--trials", "0", "--depth", "0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["lower"] == "0" and payload["upper"] == "0"
+
+
 def test_countermodel_command(capsys, tmp_path):
     out = tmp_path / "counter.json"
     assert main(["countermodel", "--formula", "t:p -> p", "--trials", "300",

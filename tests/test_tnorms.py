@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given
 
 from conftest import unit_rationals
-from fjl.tnorms import TNormKind, check_adjunction, residuum_apply, tnorm_apply
+from fjl.models import FittingModel, eval_formula
+from fjl.suites import run_suite
+from fjl.syntax import Implies, Prop
+from fjl.tnorms import (
+    KERNELS, TNormKind, check_adjunction, kernel_grid, residuum_apply, tnorm_apply,
+)
 from fjl.tnorms import unit_rationals as grid_rationals
 
 L, G, P = TNormKind.LUKASIEWICZ, TNormKind.GOEDEL, TNormKind.PRODUCT
@@ -68,3 +73,45 @@ def test_luka_implication_monotonicity(x, x2, y, y2):
     left = tnorm_apply(L, residuum_apply(L, x, x2), residuum_apply(L, y, y2))
     right = residuum_apply(L, tnorm_apply(L, x, y), tnorm_apply(L, x2, y2))
     assert left <= right
+
+
+@pytest.mark.parametrize("kind", list(TNormKind))
+def test_kernels_agree_with_the_fraction_reference(kind):
+    """Every pair of unit_rationals(8): L and G kernels in integers on the
+    grid D = 840 = lcm(1..8), product kernels on the Fractions themselves."""
+    values = grid_rationals(8)
+    top, put, get = kernel_grid(kind, values)
+    points = put(values)
+    assert top == (1 if kind is P else 840)
+    assert all(type(p) is (Fraction if kind is P else int) for p in points)
+    assert [Fraction(p, top) for p in points] == get(points) == values
+    conj, imp = KERNELS[kind]
+    for x, point in zip(values, points):
+        row = [point] * len(points)
+        assert conj(row, points, top) == put([tnorm_apply(kind, x, y) for y in values])
+        assert imp(row, points, top) == put([residuum_apply(kind, x, y) for y in values])
+
+
+def _printed_values(message: str) -> list:
+    return [Fraction(part.split("=")[1]) for part in message.split()]
+
+
+def test_suites_run_the_evaluators_kernels(monkeypatch):
+    """A Lukasiewicz implication kernel one grid unit too high changes what
+    the evaluator computes, breaks the adjunction and the product transfer,
+    and both suites say so in Fractions."""
+    model = FittingModel(worlds=("w0",), access=frozenset(), tnorm=L,
+                         valuation={("w0", "p"): Fraction(1, 2), ("w0", "q"): Fraction(1, 4)},
+                         evidence={})
+    p_to_q = Implies(Prop("p"), Prop("q"))
+    assert eval_formula(model, "w0", p_to_q) == Fraction(3, 4)
+    conj, imp = KERNELS[L]
+    monkeypatch.setitem(KERNELS, L, (conj, lambda xs, ys, top: [v + 1 for v in imp(xs, ys, top)]))
+    assert eval_formula(model, "w0", p_to_q) == 1     # 3/4 + 1/4 on the grid D = 4
+    adjunction = run_suite("adjunction", bound=4)
+    assert {f.case for f in adjunction.failures} == {"L"}
+    monotonicity = run_suite("residuum-monotonicity", bound=4)
+    assert {f.case for f in monotonicity.failures} == {"product-transfer"}
+    for failure in adjunction.failures + monotonicity.failures:
+        values = _printed_values(failure.message)
+        assert values and all(0 <= v <= 1 for v in values), failure.message

@@ -9,7 +9,7 @@ and certified lower/upper bounds on graded degrees.
 from .logics import Base, LogicConfig, Scheme, active_schemes, axiom_instance_of, schemes_by_tag
 from .models import (
     FittingModel, MkrtychevModel, crisp_eval, embed_rpl_valuation, eval_box,
-    eval_formula, eval_many, eval_mkrtychev, is_valid_in_model, load_model,
+    eval_formula, eval_many, eval_mkrtychev, eval_validated, is_valid_in_model, load_model,
     model_from_dict, model_to_dict, save_model, validate_mkrtychev,
     validate_model,
 )

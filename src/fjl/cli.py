@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Exit status: 0 on success or a passing check, 1 on a failing check or
-rejected input, 2 on usage errors.  ``FJL_SEED`` overrides the default
-seed of every seeded subcommand; ``--json``, before or after the
-subcommand, switches reports, and the errors that end a command (usage
-errors included), to JSON.
+Exit status: 0 on success or a passing check, 1 on a failing check,
+rejected input or a standard output closed early, 2 on usage errors.
+``FJL_SEED`` overrides the default seed of every seeded subcommand;
+``--json``, before or after the subcommand, switches reports, and the
+errors that end a command (usage errors included), to JSON.
 """
 
 from __future__ import annotations
@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run a named property suite (or 'all')")
     p.add_argument("name", choices=sorted(SUITES) + ["all"])
-    p.add_argument("--seeds", type=int, default=None,
+    p.add_argument("--seeds", type=_at_least(1), default=None,
                    help="number of seeded cases (suite default otherwise)")
     p.add_argument("--seed", type=int, default=_env_seed())
     p.add_argument("--logic", default=None, help="restrict the soundness suite")
@@ -381,10 +381,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:      # --help
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
-    except (ParseError, ProofError, ValueError, OSError, KeyError) as exc:
-        _error(str(exc), args.json)
-        return 2
+        try:
+            code = args.fn(args)
+        except BrokenPipeError:
+            raise
+        except (ParseError, ProofError, ValueError, OSError, KeyError) as exc:
+            _error(str(exc), args.json)
+            code = 2
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: the rest, the flush at exit included, goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

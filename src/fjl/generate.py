@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Optional
 
@@ -26,7 +27,7 @@ from .proofs import (
 from .syntax import (
     App, Const, FALSUM, Formula, GradedAtLeast, GradedAtMost, GradedExact,
     Implies, Justified, Neg, ONE, Prop, StrongConj, Sum, Term, TruthConst,
-    Var, WeakConj, WeakDisj, ZERO, expand_sugar,
+    VERUM, Var, WeakConj, WeakDisj, ZERO, expand_sugar,
 )
 from .tnorms import TNormKind
 
@@ -49,6 +50,8 @@ class SearchBudget:
 
 
 _ATOMIC_TERMS = (Var("x1"), Var("x2"), Const("c1"))
+_ATOMS = (Prop("p"), Prop("q"), Prop("r"))
+_BOOLEAN_CONSTANTS = (FALSUM, VERUM)
 
 
 def random_unit(rng: random.Random, max_denominator: int) -> Fraction:
@@ -64,14 +67,13 @@ def random_term(rng: random.Random, depth: int = 2) -> Term:
 
 
 def random_formula(rng: random.Random, config: LogicConfig, depth: int = 3) -> Formula:
-    atoms = [Prop("p"), Prop("q"), Prop("r")]
     if depth <= 0:
         roll = rng.random()
         if roll < 0.15:
             if config.has_truth_constants and not config.crisp:
                 return TruthConst(random_unit(rng, 6))
-            return rng.choice((FALSUM, TruthConst(ONE)))
-        return rng.choice(atoms)
+            return rng.choice(_BOOLEAN_CONSTANTS)
+        return rng.choice(_ATOMS)
     roll = rng.random()
     if roll < 0.30:
         return random_formula(rng, config, 0)
@@ -116,6 +118,21 @@ def _random_value(rng: random.Random, params: ModelParams, config: LogicConfig) 
     return random_unit(rng, params.max_denominator)
 
 
+@lru_cache(maxsize=16)
+def _formula_pool(props: tuple, constants: bool) -> tuple:
+    """The evidence bodies ``random_model`` draws from, expanded, and each
+    body's rank in the order of its ``repr``.  Sorting a table's groups by
+    it sorts them as their (body, entries) pairs sort by ``str``: the
+    bodies are distinct and no ``repr`` is a prefix of another."""
+    pool = [Prop(p) for p in props]
+    pool += [Implies(Prop(a), Prop(b)) for a in props for b in props if a != b]
+    pool.append(Implies(Prop(props[0]), FALSUM))
+    if constants:
+        pool.append(Implies(TruthConst(Fraction(1, 2)), Prop(props[0])))
+    pool = tuple(expand_sugar(f) for f in pool)
+    return pool, {body: i for i, body in enumerate(sorted(set(pool), key=repr))}
+
+
 def random_model(seed: int, params: ModelParams = ModelParams(),
                  config: Optional[LogicConfig] = None,
                  cs: Optional[ConstantSpecification] = None) -> FittingModel:
@@ -146,19 +163,14 @@ def random_model(seed: int, params: ModelParams = ModelParams(),
     valuation = {(w, p): _random_value(rng, params, config)
                  for w in worlds for p in params.props}
 
-    formula_pool = [Prop(p) for p in params.props]
-    formula_pool += [Implies(Prop(a), Prop(b))
-                     for a in params.props for b in params.props if a != b]
-    formula_pool.append(Implies(Prop(params.props[0]), FALSUM))
-    if config.has_truth_constants and not config.crisp:
-        formula_pool.append(Implies(TruthConst(Fraction(1, 2)), Prop(params.props[0])))
-
+    formula_pool, rank = _formula_pool(tuple(params.props),
+                                       config.has_truth_constants and not config.crisp)
     evidence: dict = {}
     for w in worlds:
         table: dict = {}
         for _ in range(params.evidence_entries):
             term = rng.choice(_ATOMIC_TERMS)
-            body = expand_sugar(rng.choice(formula_pool))
+            body = rng.choice(formula_pool)
             value = _random_value(rng, params, config)
             if isinstance(term, Const) and cs.covers(term.name, body, config):
                 value = ONE
@@ -167,7 +179,7 @@ def random_model(seed: int, params: ModelParams = ModelParams(),
         grouped: dict = {}
         for (term, body), value in table.items():
             grouped.setdefault(body, []).append((term, value))
-        for body, entries in sorted(grouped.items(), key=str):
+        for body, entries in sorted(grouped.items(), key=lambda item: rank[item[0]]):
             if len(entries) >= 2 and rng.random() < 0.6:
                 (s, vs), (t, vt) = entries[0], entries[1]
                 if s != t:
@@ -177,7 +189,7 @@ def random_model(seed: int, params: ModelParams = ModelParams(),
         # application entries are pinned to 1 so arbitrary queries stay admissible
         if rng.random() < 0.4:
             s, t = rng.choice(_ATOMIC_TERMS), rng.choice(_ATOMIC_TERMS)
-            body = expand_sugar(rng.choice(formula_pool))
+            body = rng.choice(formula_pool)
             table[(App(s, t), body)] = ONE
         for (term, body), value in table.items():
             evidence[(w, term, body)] = value

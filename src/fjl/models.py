@@ -22,7 +22,14 @@ in the model and the formulas' truth constants), in Fractions for product.
 
 ``validate_model`` reads its query pairs off one walk over all the query
 formulas, takes each distinct term's subterms once, and asks the
-constant specification once per (constant, formula) pair.
+constant specification once per (constant, formula) pair.  FE1 and FE2
+compare integers n standing for n/D, D the lcm of the denominators of
+the evidence and its default, through ``tnorms.BELOW`` (products as
+got*D < x*y); violation texts print Fractions.
+
+``eval_validated`` validates and then evaluates one list of formulas:
+one walk of their closure serves both halves.  ``validate_model`` and
+``eval_many`` are its two halves on a walk of their own.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from .syntax import (
     Term, TruthConst, ZERO, as_unit, expand_sugar, format_rational,
     parse_rational, print_formula, print_term, subformulas_many, subterms,
 )
-from .tnorms import KERNELS, TNormKind, kernel_grid, tnorm_apply
+from .tnorms import BELOW, KERNELS, TNormKind, grid, kernel_grid, tnorm_apply
 
 
 class ModelError(ValueError):
@@ -130,9 +137,29 @@ def eval_many(model: FittingModel, formulas: Iterable[Formula]) -> list:
     the grid of the model's values and the walk's truth constants; only
     the formulas' own values become Fractions.
     """
+    return _evaluate(model, *_closure(formulas))
+
+
+def eval_validated(model: FittingModel, config: LogicConfig, cs,
+                   formulas: Iterable[Formula]) -> Optional[list]:
+    """``eval_many(model, formulas)``, or None when
+    ``validate_model(model, config, cs, formulas)`` finds a violation;
+    one walk of the formulas' closure serves both."""
+    roots, order = _closure(formulas)
+    if not _validate(model, config, cs, order).ok:
+        return None
+    return _evaluate(model, roots, order)
+
+
+def _closure(formulas: Iterable[Formula]) -> tuple:
+    """The expanded ``formulas`` and their distinct subformulas, each
+    after its operands."""
     roots = [expand_sugar(f) for f in formulas]
+    return roots, subformulas_many(roots)
+
+
+def _evaluate(model: FittingModel, roots: list, order: list) -> list:
     worlds, tk = model.worlds, model.tnorm
-    order = subformulas_many(roots)
     conj, imp = KERNELS[tk]
     top, put, get = kernel_grid(tk, chain(
         model.valuation.values(), model.evidence.values(),
@@ -277,8 +304,12 @@ def validate_model(model: FittingModel, config: LogicConfig, cs,
     closure with the query formulas about to be evaluated.  Violations
     come sorted by world (in model order), kind and message.
     """
+    return _validate(model, config, cs, _closure(relevant)[1])
+
+
+def _validate(model: FittingModel, config: LogicConfig, cs, order: list) -> ModelReport:
     report = ModelReport()
-    tk, default = model.tnorm, model.default_evidence
+    tk = model.tnorm
 
     report.checks += 1
     if tk not in config.tnorm_kinds():
@@ -296,22 +327,27 @@ def validate_model(model: FittingModel, config: LogicConfig, cs,
             if v not in (ZERO, ONE):
                 report.add("crisp", w,
                            f"evidence for {print_term(t)}:{print_formula(a)} is {v}")
-        if model.default_valuation not in (ZERO, ONE) or default not in (ZERO, ONE):
+        if (model.default_valuation not in (ZERO, ONE)
+                or model.default_evidence not in (ZERO, ONE)):
             report.add("crisp", None, "default values must be Boolean")
 
+    # FE1 and FE2 compare integers n standing for n/D; texts print Fractions
+    top, put, _ = grid(chain(model.evidence.values(), (model.default_evidence,)))
+    default = put([model.default_evidence])[0]
+    below_tnorm = BELOW[tk]
     sources = {u for u, _ in model.access}
     tables: dict = {w: {} for w in model.worlds}
-    for (w, t, a), v in model.evidence.items():
-        tables[w][(t, a)] = v
-    queried = {(g.term, g.body) for g in subformulas_many(map(expand_sugar, relevant))
-               if type(g) is Justified}
+    for (w, t, a), n in zip(model.evidence, put(model.evidence.values())):
+        tables[w][(t, a)] = n
+    queried = {(g.term, g.body) for g in order if type(g) is Justified}
     below = {t: frozenset(subterms(t)) for t in {t for t, _ in queried}.union(
         t for _, t, _ in model.evidence)}     # each distinct term's subterms
     queried_terms = set().union(*(below[t] for t, _ in queried))
     covered: dict = {}     # (constant, formula) -> whether ``cs`` specifies it
 
-    def e(t, a):
-        return f"E({print_term(t)}, {print_formula(a)})"
+    def e(t, a, n=None):
+        text = f"E({print_term(t)}, {print_formula(a)})"
+        return text if n is None else f"{text} = {Fraction(n, top)}"
 
     for w, table in tables.items():
         if "jT" in config.extras:
@@ -339,29 +375,30 @@ def validate_model(model: FittingModel, config: LogicConfig, cs,
             if isinstance(a, Implies):
                 for t in partners.get(a.left, ()):
                     report.checks += 1
-                    need = tnorm_apply(tk, base, value(t, a.left))
+                    x = value(t, a.left)
                     got = value(App(s, t), a.right)
-                    if got < need:
+                    if below_tnorm(got, base, x, top):
+                        need = tnorm_apply(tk, Fraction(base, top), Fraction(x, top))
                         report.add("FE1", w, f"{e(s, a)} * {e(t, a.left)} = {need} "
-                                             f"> {e(App(s, t), a.right)} = {got}")
+                                             f"> {e(App(s, t), a.right, got)}")
             report.checks += 2 * len(terms)
             if least.get(a, default) < base:    # some s+t, t+s may be below
                 for u in (Sum(x, y) for t in terms for x, y in ((s, t), (t, s))):
                     if value(u, a) < base:
-                        report.add("FE2", w, f"{e(s, a)} = {base} > {e(u, a)} = {value(u, a)}")
+                        report.add("FE2", w, f"{e(s, a, base)} > {e(u, a, value(u, a))}")
             if isinstance(s, Sum):
                 for x in (s.left, s.right):
                     report.checks += 1
                     if base < value(x, a):
-                        report.add("FE2", w, f"{e(x, a)} = {value(x, a)} > {e(s, a)} = {base}")
+                        report.add("FE2", w, f"{e(x, a, value(x, a))} > {e(s, a, base)}")
             if isinstance(s, Const) and cs is not None:
                 if (s, a) not in covered:
                     covered[(s, a)] = cs.covers(s.name, a, config)
                 if covered[(s, a)]:
                     report.checks += 1
-                    if base != ONE:
+                    if base != top:
                         report.add("FE3", w, f"specified constant {s.name} has evidence "
-                                             f"{base} != 1 for {print_formula(a)}")
+                                             f"{Fraction(base, top)} != 1 for {print_formula(a)}")
 
     rank = {w: i for i, w in enumerate(model.worlds)}
     report.violations.sort(key=lambda v: (rank.get(v.world, -1), v.kind, v.message))

@@ -22,8 +22,8 @@ from .generate import (
 from .lifting import degree_interval, lift
 from .logics import LogicConfig, active_schemes
 from .models import (
-    FittingModel, crisp_eval, embed_rpl_valuation, eval_formula, eval_many,
-    eval_mkrtychev, eval_worlds, validate_model,
+    FittingModel, crisp_eval, embed_rpl_valuation, eval_formula, eval_mkrtychev,
+    eval_validated, eval_worlds, validate_model,
 )
 from .parser import parse_formula
 from .proofs import (
@@ -210,11 +210,11 @@ def _theorem_suite(name: str, config: LogicConfig, instances_fn,
                 report.fail(f"{label}@{seed + k}", check.summary())
                 continue
             conclusions.append((label, expand_sugar(derivation.conclusion)))
-        goals = [c for _, c in conclusions]
-        if not validate_model(model, config, cs, goals).ok:
+        rows = eval_validated(model, config, cs, [c for _, c in conclusions])
+        if rows is None:
             report.fail(f"model@{seed + k}", "generated model failed validation")
             continue
-        for (label, conclusion), values in zip(conclusions, eval_many(model, goals)):
+        for (label, conclusion), values in zip(conclusions, rows):
             for w, value in values.items():
                 if value != ONE:
                     report.fail(f"{label}@{seed + k}",
@@ -295,15 +295,16 @@ def soundness_suite(count: int = 60, seed: int = 0,
             instances = [(scheme.name,
                           expand_sugar(random_scheme_instance(rng, scheme, config, 2)))
                          for scheme in schemes]
-            goals = [inst for _, inst in instances]
-            if not validate_model(model, config, cs, goals).ok:
-                report.fail(f"{logic_name}/{kind}@{seed + k}",
-                            "generated model failed validation")
-                continue
             # sampled premises of modus ponens, evaluated with the instances
             a = expand_sugar(random_formula(rng, config, 2))
             b = expand_sugar(random_formula(rng, config, 2))
-            *values, va, vab, vb = eval_many(model, goals + [a, Implies(a, b), b])
+            rows = eval_validated(model, config, cs,
+                                  [inst for _, inst in instances] + [a, Implies(a, b), b])
+            if rows is None:
+                report.fail(f"{logic_name}/{kind}@{seed + k}",
+                            "generated model failed validation")
+                continue
+            *values, va, vab, vb = rows
             for (name, inst), inst_values in zip(instances, values):
                 report.cases += 1
                 for w, value in inst_values.items():
@@ -331,11 +332,11 @@ def graded_semantics_suite(count: int = 100, seed: int = 0, **_) -> SuiteReport:
         a = random_formula(rng, _RPLJ, 2)
         r = Fraction(rng.randint(0, 8), 8)
         forms = (GradedAtLeast(r, t, a), GradedAtMost(r, t, a), GradedExact(r, t, a))
-        goals = [expand_sugar(f) for f in forms] + [expand_sugar(Justified(t, a))]
-        if not validate_model(model, _RPLJ, cs, goals).ok:
+        rows = eval_validated(model, _RPLJ, cs, [Justified(t, a), *forms])
+        if rows is None:
             report.fail(f"seed {seed + k}", "generated model failed validation")
             continue
-        justified, *form_values = eval_many(model, [Justified(t, a), *forms])
+        justified, *form_values = rows
         for w, value in justified.items():
             report.cases += 1
             relations = (value >= r, value <= r, value == r)
@@ -378,11 +379,11 @@ def uncertainty_suite(count: int = 100, seed: int = 0, **_) -> SuiteReport:
         rng = random.Random(seed + k)
         model = random_model(seed + k, ModelParams(), _RPLJ, cs)
         principles = [(n, expand_sugar(f)) for n, f in _uncertainty_principles(rng)]
-        goals = [f for _, f in principles]
-        if not validate_model(model, _RPLJ, cs, goals).ok:
+        rows = eval_validated(model, _RPLJ, cs, [f for _, f in principles])
+        if rows is None:
             report.fail(f"seed {seed + k}", "generated model failed validation")
             continue
-        for (name, f), values in zip(principles, eval_many(model, goals)):
+        for (name, f), values in zip(principles, rows):
             report.cases += 1
             for w, value in values.items():
                 if value != ONE:
@@ -410,10 +411,11 @@ def frames_suite(count: int = 60, seed: int = 0, **_) -> SuiteReport:
                 ("jD", jd_config, jd, 10_000, "serial", "consistency")):
             model = random_model(offset + seed + k, ModelParams(), config, cs)
             report.cases += 1
-            if not validate_model(model, config, cs, [goal]).ok:
+            rows = eval_validated(model, config, cs, [goal])
+            if rows is None:
                 report.fail(f"{label}@{seed + k}", f"{frame} model failed validation")
                 continue
-            for w, value in eval_worlds(model, goal).items():
+            for w, value in rows[0].items():
                 if value != ONE:
                     report.fail(f"{label}@{seed + k}", f"{law} = {value} at {w}")
     # dropping the frame property admits countermodels

@@ -5,7 +5,9 @@ The one home of the truth functions: ``tnorm_apply`` and
 ``KERNELS`` holds each kind's row kernels, which evaluation runs and
 ``check_adjunction`` certifies; they compute in integers on a grid of
 denominator D for Lukasiewicz and Goedel (``kernel_grid``) and in
-``Fraction``s for product.  No floats anywhere.
+``Fraction``s for product.  ``BELOW`` is the scalar comparison
+``got < t(x, y)`` that model validation runs on the integer grid for
+every kind, product included.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -93,16 +95,32 @@ KERNELS = {
 }
 
 
-def kernel_grid(kind: TNormKind, values: Iterable[Fraction]) -> tuple:
-    """``(top, put, get)`` for ``kind``'s kernels on ``values``: ``put``
-    takes a list of Fractions to kernel values, ``get`` takes them back.
-    Lukasiewicz and Goedel values v stand as integers v*D, D the lcm of the
-    denominators of ``values``; product values as themselves."""
-    if kind is TNormKind.PRODUCT:
-        return ONE, list, list
+#: Each kind's scalar test ``got < t(x, y)`` on the integer ``grid``, every
+#: kind included: got, x and y stand for v*D, D = top.  The product x*y
+#: lands on the D**2 scale, so got is raised to it.
+BELOW = {
+    TNormKind.LUKASIEWICZ: lambda got, x, y, top: got < x + y - top,
+    TNormKind.GOEDEL: lambda got, x, y, top: got < x if x < y else got < y,
+    TNormKind.PRODUCT: lambda got, x, y, top: got * top < x * y,
+}
+
+
+def grid(values: Iterable[Fraction]) -> tuple:
+    """``(top, put, get)``: each value v stands as the integer v*D, D = top
+    the lcm of the denominators of ``values``; ``put`` takes a list of
+    Fractions to integers, ``get`` a list of integers back."""
     top = lcm(*{v.denominator for v in values})
     return (top, lambda values: [v.numerator * (top // v.denominator) for v in values],
             lambda row: [ONE if n == top else ZERO if not n else Fraction(n, top) for n in row])
+
+
+def kernel_grid(kind: TNormKind, values: Iterable[Fraction]) -> tuple:
+    """``(top, put, get)`` for ``kind``'s kernels on ``values``: the
+    integer ``grid`` for Lukasiewicz and Goedel, the Fractions as they are
+    (top 1) for product."""
+    if kind is TNormKind.PRODUCT:
+        return ONE, list, list
+    return grid(values)
 
 
 def unit_rationals(max_denominator: int) -> list[Fraction]:

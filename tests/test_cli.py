@@ -3,6 +3,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -245,6 +247,36 @@ def test_suite_command(capsys):
     assert main(["--json", "suite", "conservativity", "--seeds", "10"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload[0]["ok"]
+
+
+@pytest.mark.parametrize("name", ["conservativity", "adjunction"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_suite_seeds_below_one_are_usage_errors(capsys, name, value):
+    message = f"argument --seeds: must be at least 1, got {value}"
+    assert main(["--json", "suite", name, "--seeds", value]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"ok": False, "error": message} and err == ""
+    assert main(["suite", name, "--seeds", value]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--json", "degree", "--formula", "q", "--hyp", "p"],
+    ["parse", "p"],
+], ids=["degree", "parse"])
+def test_a_closed_stdout_exits_1_without_a_traceback(argv):
+    read, write = os.pipe()
+    os.close(read)     # every write to the pipe fails with EPIPE
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        run = subprocess.run([sys.executable, "-m", "fjl.cli", *argv], stdout=write,
+                             stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert run.returncode == 1
+    assert run.stderr == ""
 
 
 def test_usage_error_exit_code():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -23,6 +25,21 @@ def test_same_seed_same_model():
     assert model_to_dict(a) == model_to_dict(b)
     c = random_model(43, ModelParams(), RPLJ, TotalCS())
     assert model_to_dict(a) != model_to_dict(c)
+
+
+@pytest.mark.parametrize("logic, digest", [
+    ("BLJ", "b3e62292eba0af184af1e7abf9239e9f0a8b522f4fa253a371627cd6529a7e46"),
+    ("RPLJ", "4b40dd0df11f06ca0002399688e9401b5edcecbc4d44ebf7ee9ccf3de5d55eab"),
+    ("GJ", "1da783e2ccd58985f5231713bee31ab81702a37ea8aa6714b82c3049dc80bc6c"),
+])
+def test_random_models_are_pinned(logic, digest):
+    """Seeds 0-199: a change that moves one random draw changes the digest."""
+    config = LogicConfig.from_name(logic)
+    h = hashlib.sha256()
+    for seed in range(200):
+        model = random_model(seed, ModelParams(), config, TotalCS())
+        h.update(json.dumps(model_to_dict(model), sort_keys=True).encode())
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize("logic", ["BLJ", "LJ", "GJ", "PiJ", "RPLJ", "J"])

@@ -109,6 +109,42 @@ def test_validate_fe2_violation_mixed_with_default():
     assert any(v.kind == "FE2" for v in report.violations)
 
 
+#: Per kind: E(s, p -> q), E(t, p), their t-norm and the value one step
+#: below it on the grid of all four; product's bound 4/9 is off the grid
+#: D = 3 of the other values.
+_FE1_BOUNDS = {
+    L: (Fraction(3, 4), Fraction(2, 3), Fraction(5, 12), Fraction(1, 3)),
+    TNormKind.GOEDEL: (Fraction(3, 4), Fraction(2, 3), Fraction(2, 3), Fraction(7, 12)),
+    TNormKind.PRODUCT: (Fraction(2, 3), Fraction(2, 3), Fraction(4, 9), Fraction(1, 3)),
+}
+
+
+@pytest.mark.parametrize("kind", list(TNormKind))
+def test_validate_fe1_at_and_below_its_bound(kind):
+    x, y, bound, below = _FE1_BOUNDS[kind]
+
+    def violations(got):
+        m = single_world(tnorm=kind, evid={(s, Implies(p, q)): x, (t, p): y,
+                                           (App(s, t), q): got})
+        return [str(v) for v in validate_model(m, BLJ, EMPTY_CS).violations]
+
+    assert violations(bound) == []
+    assert violations(below) == [f"[FE1 at w] E(s, p -> q) * E(t, p) = {bound} "
+                                 f"> E(s.t, q) = {below}"]
+
+
+@pytest.mark.parametrize("kind", list(TNormKind))
+def test_validate_fe2_at_and_below_its_bound(kind):
+    def violations(value):
+        m = single_world(tnorm=kind, evid={(s, p): Fraction(2, 3), (t, p): Fraction(1, 2),
+                                           (Sum(s, t), p): value})
+        return [str(v) for v in validate_model(m, BLJ, EMPTY_CS).violations]
+
+    assert violations(Fraction(2, 3)) == []
+    # once as s's value above the sum, once as the sum's below its component
+    assert violations(Fraction(7, 12)) == ["[FE2 at w] E(s, p) = 2/3 > E(s+t, p) = 7/12"] * 2
+
+
 def test_validate_fe3_violation():
     body = parse_formula("(p & q) -> p")
     cs = FiniteCS([GradedExact(Fraction(1), Const("c1"), body)])

@@ -1,5 +1,6 @@
 import pytest
 
+from fjl import models
 from fjl.suites import DEGREE_CORPUS, SUITES, run_suite
 
 SMALL = {
@@ -73,3 +74,13 @@ def test_degree_corpus_shape():
 def test_soundness_single_logic():
     report = run_suite("soundness", count=3, logic="GJ")
     assert report.ok and report.name == "soundness(GJ)"
+
+
+def test_soundness_walks_each_models_closure_once(monkeypatch):
+    """One ``subformulas_many`` walk per model serves validation and
+    evaluation: one per battery."""
+    walks = []
+    walk = models.subformulas_many
+    monkeypatch.setattr(models, "subformulas_many", lambda roots: walks.append(1) or walk(roots))
+    report = run_suite("soundness", count=1, seed=0)
+    assert report.ok and len(walks) == 7

@@ -8,7 +8,8 @@ from fjl.models import FittingModel, eval_formula
 from fjl.suites import run_suite
 from fjl.syntax import Implies, Prop
 from fjl.tnorms import (
-    KERNELS, TNormKind, check_adjunction, kernel_grid, residuum_apply, tnorm_apply,
+    BELOW, KERNELS, TNormKind, check_adjunction, grid, kernel_grid, residuum_apply,
+    tnorm_apply,
 )
 from fjl.tnorms import unit_rationals as grid_rationals
 
@@ -90,6 +91,25 @@ def test_kernels_agree_with_the_fraction_reference(kind):
         row = [point] * len(points)
         assert conj(row, points, top) == put([tnorm_apply(kind, x, y) for y in values])
         assert imp(row, points, top) == put([residuum_apply(kind, x, y) for y in values])
+
+
+@pytest.mark.parametrize("kind", list(TNormKind))
+def test_grid_comparison_agrees_with_the_fraction_reference(kind):
+    """Every (x, y, got) of unit_rationals(6) as integers on D = 60 = lcm(1..6):
+    ``BELOW`` says got < t(x, y) exactly when the Fractions do, product
+    included, whose x * y falls off the grid onto D**2."""
+    values = grid_rationals(6)
+    top, put, get = grid(values)
+    points = put(values)
+    assert top == 60 and get(points) == values
+    below = BELOW[kind]
+    off_grid = 0
+    for x, n in zip(values, points):
+        for y, m in zip(values, points):
+            need = tnorm_apply(kind, x, y)
+            off_grid += (need * top).denominator != 1
+            assert [below(g, n, m, top) for g in points] == [got < need for got in values]
+    assert (off_grid > 0) == (kind is P)
 
 
 def _printed_values(message: str) -> list:

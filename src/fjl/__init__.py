@@ -8,10 +8,9 @@ and certified lower/upper bounds on graded degrees.
 
 from .logics import Base, LogicConfig, Scheme, active_schemes, axiom_instance_of, schemes_by_tag
 from .models import (
-    FittingModel, MkrtychevModel, crisp_eval, embed_rpl_valuation, eval_box,
-    eval_formula, eval_many, eval_mkrtychev, eval_validated, is_valid_in_model, load_model,
-    model_from_dict, model_to_dict, save_model, validate_mkrtychev,
-    validate_model,
+    FittingModel, MkrtychevModel, crisp_eval, embed_rpl_valuation, eval_formula,
+    eval_many, eval_mkrtychev, eval_validated, load_model, model_from_dict,
+    model_to_dict, save_model, validate_model,
 )
 from .generate import (
     ModelParams, SearchBudget, find_countermodel, random_model,
@@ -22,9 +21,8 @@ from .parser import (
 )
 from .proofs import (
     Ax, ConstantSpecification, Derivation, DerivationBuilder, FiniteCS, Gian,
-    Hyp, Ian, MP, Step, TotalCS, build_gmp, build_jgmp, build_mon, check_cs,
-    check_derivation, format_derivation, parse_cs, parse_derivation,
-    power_formula,
+    Hyp, Ian, MP, Step, TotalCS, check_cs, check_derivation, format_derivation,
+    parse_cs, parse_derivation,
 )
 from .lifting import (
     DegreeInterval, degree_interval, internalize, lift, provability_degree_lb,

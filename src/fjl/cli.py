@@ -15,7 +15,7 @@ import os
 import sys
 
 from .generate import SearchBudget, find_countermodel
-from .lifting import InputRejected, degree_interval, internalize, lift
+from .lifting import InputRejected, degree_interval, lift
 from .logics import LogicConfig
 from .models import (
     eval_formula, eval_worlds, load_model, model_to_dict, save_model, validate_model,
@@ -55,8 +55,8 @@ def _load_cs(spec: str, config: LogicConfig):
         return parse_cs(handle.read(), config)
 
 
-def _add_logic_flags(sub, default="RPLJ"):
-    sub.add_argument("--logic", default=default,
+def _add_logic_flags(sub):
+    sub.add_argument("--logic", default="RPLJ",
                      help="BL, BLJ, L, LJ, G, GJ, Pi, PiJ, RPL, RPLJ or J")
     sub.add_argument("--jt", action="store_true", help="add the factivity axiom")
     sub.add_argument("--jd", action="store_true", help="add the consistency axiom")
@@ -168,10 +168,7 @@ def cmd_internalize(args) -> int:
     with open(args.proof, "r", encoding="utf-8") as handle:
         derivation = parse_derivation(handle.read(), config)
     try:
-        if derivation.hypotheses:
-            term, lifted = lift(derivation, cs, config)
-        else:
-            term, lifted = internalize(derivation, cs, config)
+        term, lifted = lift(derivation, cs, config)
     except InputRejected as exc:
         _error(str(exc), args.json)
         return 1

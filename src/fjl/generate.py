@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from typing import Optional
 
@@ -37,8 +36,6 @@ class ModelParams:
     max_worlds: int = 3
     max_denominator: int = 8
     tnorm: Optional[TNormKind] = None      # None: drawn from the logic's kinds
-    evidence_entries: int = 4
-    props: tuple = ("p", "q")
 
 
 @dataclass(frozen=True)
@@ -50,6 +47,8 @@ class SearchBudget:
 
 
 _ATOMIC_TERMS = (Var("x1"), Var("x2"), Const("c1"))
+_MODEL_PROPS = ("p", "q")           # the atoms a random model values
+_EVIDENCE_ENTRIES = 4               # atomic-term draws per world of a random model
 _ATOMS = (Prop("p"), Prop("q"), Prop("r"))
 _BOOLEAN_CONSTANTS = (FALSUM, VERUM)
 
@@ -118,12 +117,12 @@ def _random_value(rng: random.Random, params: ModelParams, config: LogicConfig) 
     return random_unit(rng, params.max_denominator)
 
 
-@lru_cache(maxsize=16)
-def _formula_pool(props: tuple, constants: bool) -> tuple:
+def _formula_pool(constants: bool) -> tuple:
     """The evidence bodies ``random_model`` draws from, expanded, and each
     body's rank in the order of its ``repr``.  Sorting a table's groups by
     it sorts them as their (body, entries) pairs sort by ``str``: the
     bodies are distinct and no ``repr`` is a prefix of another."""
+    props = _MODEL_PROPS
     pool = [Prop(p) for p in props]
     pool += [Implies(Prop(a), Prop(b)) for a in props for b in props if a != b]
     pool.append(Implies(Prop(props[0]), FALSUM))
@@ -131,6 +130,11 @@ def _formula_pool(props: tuple, constants: bool) -> tuple:
         pool.append(Implies(TruthConst(Fraction(1, 2)), Prop(props[0])))
     pool = tuple(expand_sugar(f) for f in pool)
     return pool, {body: i for i, body in enumerate(sorted(set(pool), key=repr))}
+
+
+#: The pools without and with the body ``#1/2 -> p``, keyed by whether
+#: the logic has truth constants and is not crisp.
+_FORMULA_POOLS = {False: _formula_pool(False), True: _formula_pool(True)}
 
 
 def random_model(seed: int, params: ModelParams = ModelParams(),
@@ -161,14 +165,13 @@ def random_model(seed: int, params: ModelParams = ModelParams(),
     tnorm = params.tnorm or rng.choice(config.tnorm_kinds())
 
     valuation = {(w, p): _random_value(rng, params, config)
-                 for w in worlds for p in params.props}
+                 for w in worlds for p in _MODEL_PROPS}
 
-    formula_pool, rank = _formula_pool(tuple(params.props),
-                                       config.has_truth_constants and not config.crisp)
+    formula_pool, rank = _FORMULA_POOLS[config.has_truth_constants and not config.crisp]
     evidence: dict = {}
     for w in worlds:
         table: dict = {}
-        for _ in range(params.evidence_entries):
+        for _ in range(_EVIDENCE_ENTRIES):
             term = rng.choice(_ATOMIC_TERMS)
             body = rng.choice(formula_pool)
             value = _random_value(rng, params, config)

@@ -28,7 +28,7 @@ from .models import FittingModel, eval_many, validate_model
 from .proofs import (
     ConstantSpecification, Derivation, DerivationBuilder, FiniteCS, Gian,
     Hyp, Ax, Ian, ProofError, TotalCS, check_derivation, cs_entry,
-    extract_subderivation, _split_graded_layer,
+    extract_subderivation, split_cs_layer,
 )
 from .syntax import (
     App, Const, FALSUM, Formula, GradedExact, Implies, Justified, ONE, Prop,
@@ -142,14 +142,15 @@ def provability_degree_lb(hypotheses: Iterable[Formula], goal: Formula,
     hyp_e = [expand_sugar(h) for h in hyps]
     b = DerivationBuilder(config, cs, hyps)
 
-    universe: set = set()
+    seen: set = set()
     for f in hyp_e + [goal_e]:
-        universe.update(subformulas(f))
+        seen.update(subformulas(f))
+    universe = sorted(seen, key=str)
     terms: set = set()
     for f in universe:
         if isinstance(f, Justified):
             terms.update(subterms(f.term))
-    conj_targets = {f for f in universe if isinstance(f, StrongConj)}
+    conj_targets = [f for f in universe if isinstance(f, StrongConj)]
     sum_targets = sorted({t for t in terms if isinstance(t, Sum)}, key=str)
     app_targets = {t for t in terms if isinstance(t, App)}
 
@@ -166,7 +167,7 @@ def provability_degree_lb(hypotheses: Iterable[Formula], goal: Formula,
 
     def record_exact_one(f: Formula, idx: int) -> None:
         """A grade-1-exact fact also yields its plain graded core."""
-        layer = _split_graded_layer(f)
+        layer = split_cs_layer(f, True)
         if layer is not None:
             core = b.graded_from_exact_one(idx)
             record(Justified(Const(layer[0]), layer[1]), ONE, core)
@@ -178,7 +179,7 @@ def provability_degree_lb(hypotheses: Iterable[Formula], goal: Formula,
             record(h.right, h.left.value, hi)
         record_exact_one(h, hi)
 
-    for f in sorted(universe, key=str):
+    for f in universe:
         if isinstance(f, TruthConst):
             record(f, f.value, b.th_identity(f))
         else:
@@ -186,22 +187,18 @@ def provability_degree_lb(hypotheses: Iterable[Formula], goal: Formula,
             if hit is not None:
                 record(f, ONE, b.at_grade_one(b.axiom(hit[0], f)))
 
-    if isinstance(cs, FiniteCS):
-        for entry in cs.entries:
-            if cs.contains(entry, config) and config.graded_necessitation:
-                gi = b.gian(entry)
-                record(expand_sugar(entry), ONE, b.at_grade_one(gi))
-                record_exact_one(expand_sugar(entry), gi)
-    else:
-        for f in sorted(universe, key=str):
-            if isinstance(f, Justified) and isinstance(f.term, Const) \
-                    and cs.covers(f.term.name, f.body, config) \
-                    and config.graded_necessitation:
-                entry = cs_entry(f.term.name, f.body, graded=True)
-                if cs.contains(entry, config):
-                    gi = b.gian(entry)
-                    record(expand_sugar(entry), ONE, b.at_grade_one(gi))
-                    record_exact_one(expand_sugar(entry), gi)
+    if config.graded_necessitation:
+        if isinstance(cs, FiniteCS):
+            entries = cs.entries
+        else:       # the covered c:A among the subformulas
+            entries = [cs_entry(f.term.name, f.body, graded=True) for f in universe
+                       if isinstance(f, Justified) and isinstance(f.term, Const)
+                       and cs.covers(f.term.name, f.body, config)]
+        for entry in entries:
+            gi = b.gian(entry)
+            fact = expand_sugar(entry)
+            record(fact, ONE, b.at_grade_one(gi))
+            record_exact_one(fact, gi)
 
     def improves(target: Formula, grade: Fraction) -> bool:
         if grade == ZERO:
@@ -244,7 +241,7 @@ def provability_degree_lb(hypotheses: Iterable[Formula], goal: Formula,
                         if improves(target, gx):
                             record(target, gx, b.mon(ix, "left", u.left))
         # graded conjunction toward conjunctions that occur
-        for target in sorted(conj_targets, key=str):
+        for target in conj_targets:
             left, right = facts.get(target.left), facts.get(target.right)
             if left is None or right is None:
                 continue

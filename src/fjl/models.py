@@ -208,19 +208,8 @@ def eval_formula(model: FittingModel, world: str, f: Formula) -> Fraction:
     return eval_worlds(model, f)[world]
 
 
-def eval_box(model: FittingModel, world: str, f: Formula) -> Fraction:
-    """Infimum of the value of ``f`` over the successors; 1 with none."""
-    if world not in model.worlds:
-        raise ModelError(f"world {world!r} not in model")
-    return min(map(eval_worlds(model, f).get, model.successors(world)), default=ONE)
-
-
 def eval_mkrtychev(model: MkrtychevModel, f: Formula) -> Fraction:
     return eval_worlds(model.point, f)[_POINT]
-
-
-def is_valid_in_model(model: FittingModel, f: Formula) -> bool:
-    return all(v == ONE for v in eval_worlds(model, f).values())
 
 
 def crisp_eval(model: FittingModel, world: str, f: Formula) -> Fraction:
@@ -405,13 +394,6 @@ def _validate(model: FittingModel, config: LogicConfig, cs, order: list) -> Mode
     return report
 
 
-def validate_mkrtychev(model: MkrtychevModel, config: LogicConfig, cs,
-                       relevant: Iterable[Formula] = ()) -> ModelReport:
-    """Single-point models obey the same admissibility conditions; the
-    check reuses the Fitting validator over the one-world, no-successor view."""
-    return validate_model(model.point, config, cs, relevant)
-
-
 # ---------------------------------------------------------------------------
 # JSON model files
 
@@ -429,7 +411,7 @@ def model_to_dict(model: FittingModel) -> dict:
             "formula": formula,
             "value": format_rational(v),
         })
-    return {
+    data = {
         "worlds": list(model.worlds),
         "access": sorted([list(pair) for pair in model.access]),
         "tnorm": model.tnorm.code,
@@ -437,6 +419,9 @@ def model_to_dict(model: FittingModel) -> dict:
         "evid": evid,
         "default_evid": format_rational(model.default_evidence),
     }
+    if model.default_valuation != ZERO:
+        data["default_val"] = format_rational(model.default_valuation)
+    return data
 
 
 #: The documented shape of each model-file field: a JSON type, [item],

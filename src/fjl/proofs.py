@@ -152,8 +152,6 @@ def cs_entry(constant: str, body: Formula, graded: bool) -> Formula:
 class FiniteCS:
     """An explicit, finite constant specification."""
 
-    mode = "finite"
-
     def __init__(self, entries: Iterable[Formula] = ()):
         self.entries = tuple(entries)
         self._expanded = frozenset(expand_sugar(e) for e in self.entries)
@@ -176,10 +174,7 @@ class TotalCS:
     demand.  The assignment map is synchronised so concurrent checks
     see one constant per formula."""
 
-    mode = "total"
-
-    def __init__(self, prefix: str = "c_"):
-        self._prefix = prefix
+    def __init__(self):
         self._assigned: dict = {}
         self._formulas: dict = {}
         self._counter = 0
@@ -200,7 +195,7 @@ class TotalCS:
             name = self._assigned.get(key)
             if name is None:
                 self._counter += 1
-                name = f"{self._prefix}{self._counter}"
+                name = f"c_{self._counter}"
                 self._assigned[key] = name
                 self._formulas[name] = key
             return name
@@ -427,14 +422,6 @@ class DerivationBuilder:
         s5 = self.axiom("BL5b", Implies(Implies(StrongConj(b, a), c),
                                         Implies(b, Implies(a, c))))
         return self.compose(s4, s5)
-
-    def prefix(self, i: int, b: Formula) -> int:
-        """From X -> Y conclude (b -> X) -> (b -> Y)."""
-        f = self.formula(i)
-        bx, xy, by = Implies(b, f.left), f, Implies(b, f.right)
-        s1 = self.axiom("BL1", Implies(bx, Implies(xy, by)))
-        s2 = self.th_exchange(bx, xy, by)
-        return self.mp(i, self.mp(s1, s2))
 
     def th_identity(self, a: Formula) -> int:
         """a -> a, routed through the provable unit."""
@@ -672,53 +659,6 @@ class DerivationBuilder:
 
 
 # ---------------------------------------------------------------------------
-# Public derived-rule constructors
-
-def _default_config() -> LogicConfig:
-    return LogicConfig()           # RPLJ
-
-
-def build_gmp(graded_implication: Formula, graded_antecedent: Formula,
-              config: Optional[LogicConfig] = None) -> Derivation:
-    """Fragment deriving #(r *L r') -> B from #r -> (A -> B) and #r' -> A."""
-    config = config or _default_config()
-    b = DerivationBuilder(config, EMPTY_CS,
-                          hypotheses=[graded_implication, graded_antecedent])
-    b.gmp(b.hyp(0), b.hyp(1))
-    return b.build()
-
-
-def build_jgmp(graded_justified_implication: Formula, graded_justified_antecedent: Formula,
-               config: Optional[LogicConfig] = None) -> Derivation:
-    """Fragment deriving #(r *L r') -> (s.t):B from graded premises."""
-    config = config or _default_config()
-    b = DerivationBuilder(config, EMPTY_CS,
-                          hypotheses=[graded_justified_implication,
-                                      graded_justified_antecedent])
-    b.jgmp(b.hyp(0), b.hyp(1))
-    return b.build()
-
-
-def build_mon(graded_justified: Formula, side: str, t: Term,
-              config: Optional[LogicConfig] = None) -> Derivation:
-    """Fragment deriving #r -> (s+t):A (side 'right') or #r -> (t+s):A ('left')."""
-    config = config or _default_config()
-    b = DerivationBuilder(config, EMPTY_CS, hypotheses=[graded_justified])
-    b.mon(b.hyp(0), side, t)
-    return b.build()
-
-
-def power_formula(a: Formula, n: int) -> Formula:
-    """Left-nested strong conjunction of n copies of ``a``."""
-    if n < 1:
-        raise ValueError("power needs n >= 1")
-    out = a
-    for _ in range(n - 1):
-        out = StrongConj(out, a)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Stock theorems with golden derivations
 
 _BL = LogicConfig(base=Base.BL, justified=False)
@@ -821,7 +761,7 @@ BL_THEOREMS = {
 # -- graded justification theorems (Pavelka base with justifications) -------
 
 def _rpl_builder() -> DerivationBuilder:
-    return DerivationBuilder(_default_config(), EMPTY_CS)
+    return DerivationBuilder(LogicConfig(), EMPTY_CS)     # RPLJ
 
 
 def graded_upper_one(t: Term, a: Formula) -> Derivation:

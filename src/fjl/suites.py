@@ -274,14 +274,13 @@ _SOUNDNESS_BATTERIES: tuple = (
 
 @_timed
 def soundness_suite(count: int = 60, seed: int = 0,
-                    logic: Optional[str] = None,
-                    tnorm: Optional[TNormKind] = None, **_) -> SuiteReport:
+                    logic: Optional[str] = None, **_) -> SuiteReport:
     """Every active axiom instance takes value 1 in every generated valid
     model; modus ponens preserves value 1."""
     if logic is None:
         batteries = _SOUNDNESS_BATTERIES
     else:
-        batteries = ((logic, tnorm),)
+        batteries = ((logic, None),)
     label = "soundness" if logic is None else f"soundness({logic})"
     report = SuiteReport(label)
     for logic_name, kind in batteries:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ from fjl.lifting import (
     provability_degree_lb, truth_degree_ub,
 )
 from fjl.logics import LogicConfig
-from fjl.models import eval_formula, validate_model
+from fjl.models import eval_formula, model_to_dict, validate_model
 from fjl.parser import parse_formula
 from fjl.proofs import (
     Ax, Derivation, DerivationBuilder, FiniteCS, Gian, Hyp, MP, ProofError,
@@ -19,6 +21,7 @@ from fjl.syntax import (
     App, Const, GradedExact, Implies, Prop, TruthConst, Var, expand_sugar,
     subterms, term_dag_size,
 )
+from fjl.suites import DEGREE_CORPUS
 
 RPLJ = LogicConfig.from_name("RPLJ")
 p, q = Prop("p"), Prop("q")
@@ -215,6 +218,24 @@ def test_degree_interval_pins_graded_hypothesis():
     model, world = iv.upper_witness
     assert validate_model(model, RPLJ, cs, [p]).ok
     assert eval_formula(model, world, p) == Fraction(1, 2)
+
+
+def test_degree_corpus_is_pinned():
+    """The ``degrees`` suite's corpus, run as the suite runs it: a change
+    that moves one bound, witness step or witness model moves the digest."""
+    h = hashlib.sha256()
+    for case in DEGREE_CORPUS:
+        iv = degree_interval([parse_formula(text, RPLJ) for text in case.hypotheses],
+                             parse_formula(case.goal, RPLJ), fresh_cs(), depth=4,
+                             budget=SearchBudget(trials=40, seed=0), config=RPLJ)
+        upper = None
+        if iv.upper_witness is not None:
+            model, world = iv.upper_witness
+            upper = [model_to_dict(model), world]
+        h.update(json.dumps([str(iv.lower), str(iv.upper),
+                             format_derivation(iv.lower_witness), upper],
+                            sort_keys=True).encode())
+    assert h.hexdigest() == "3030c5be302f7de94d97e2f66e35b2bbefa377602f5d4fe8209a4a980d2ae5ee"
 
 
 def test_degree_interval_invariant_guard():

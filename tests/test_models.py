@@ -10,8 +10,8 @@ from conftest import terms, unit_rationals
 from fjl.logics import LogicConfig
 from fjl.models import (
     FittingModel, MkrtychevModel, ModelError, crisp_eval, embed_rpl_valuation,
-    eval_box, eval_formula, eval_many, eval_mkrtychev, eval_worlds, is_valid_in_model,
-    load_model, model_from_dict, model_to_dict, validate_model,
+    eval_formula, eval_many, eval_mkrtychev, eval_worlds, load_model, model_from_dict,
+    model_to_dict, validate_model,
 )
 from fjl.parser import parse_formula
 from fjl.proofs import EMPTY_CS, FiniteCS, TotalCS
@@ -62,13 +62,14 @@ def test_eval_box_minimum_and_empty():
         tnorm=L,
         valuation={("v1", "p"): Fraction(1, 2), ("v2", "p"): Fraction(3, 4)},
         evidence={})
-    assert eval_box(m, "u", p) == Fraction(1, 2)
-    assert eval_box(m, "v1", p) == Fraction(1)
+    # with evidence 1 (the default), t:p is the box of p
+    assert eval_formula(m, "u", Justified(t, p)) == Fraction(1, 2)
+    assert eval_formula(m, "v1", Justified(t, p)) == Fraction(1)
 
 
 def test_eval_box_reflexive_bound():
     m = single_world(val={"p": Fraction(2, 3)}, reflexive=True)
-    assert eval_box(m, "w", p) <= eval_formula(m, "w", p)
+    assert eval_formula(m, "w", Justified(t, p)) <= eval_formula(m, "w", p)
 
 
 def test_eval_unknown_world():
@@ -208,9 +209,9 @@ def test_validate_crisp_range():
 
 def test_is_valid_examples():
     m = single_world(val={"p": Fraction(1, 3)})
-    assert is_valid_in_model(m, parse_formula("#0 -> p"))
+    assert eval_worlds(m, parse_formula("#0 -> p")) == {"w": ONE}
     reflexive = single_world(val={"p": Fraction(1, 3)}, reflexive=True)
-    assert is_valid_in_model(reflexive, parse_formula("t:p -> p"))
+    assert eval_worlds(reflexive, parse_formula("t:p -> p")) == {"w": ONE}
 
 
 def test_factivity_fails_without_reflexivity():
@@ -219,8 +220,7 @@ def test_factivity_fails_without_reflexivity():
         valuation={("w", "p"): Fraction(0), ("v", "p"): Fraction(1)},
         evidence={("w", t, p): Fraction(1)})
     f = parse_formula("t:p -> p")
-    assert eval_formula(m, "w", f) == 0
-    assert not is_valid_in_model(m, f)
+    assert eval_worlds(m, f) == {"w": ZERO, "v": ONE}
 
 
 def test_crisp_eval_clauses():
@@ -257,9 +257,11 @@ def test_fuzzy_box_inequality_on_random_models():
     f = parse_formula("p -> q")
     for seed in range(60):
         m = random_model(seed, ModelParams(), BLJ, cs)
+        rows = eval_many(m, [f, p, q])
         for w in m.worlds:
-            left = tnorm_apply(m.tnorm, eval_box(m, w, f), eval_box(m, w, p))
-            assert left <= eval_box(m, w, q)
+            box_f, box_p, box_q = (min(map(row.get, m.successors(w)), default=ONE)
+                                   for row in rows)
+            assert tnorm_apply(m.tnorm, box_f, box_p) <= box_q
 
 
 def test_model_json_roundtrip(tmp_path):
@@ -273,6 +275,16 @@ def test_model_json_roundtrip(tmp_path):
     save_model(m, str(path))
     back = load_model(str(path), RPLJ)
     assert model_to_dict(back) == model_to_dict(m)
+
+
+def test_model_file_keeps_the_default_valuation():
+    m = FittingModel(worlds=("w",), access=frozenset(), tnorm=L, valuation={},
+                     evidence={}, default_valuation=Fraction(1, 2))
+    back = model_from_dict(json.loads(json.dumps(model_to_dict(m))))
+    assert eval_formula(back, "w", p) == Fraction(1, 2)
+    assert model_to_dict(back) == model_to_dict(m)
+    # a default of 0 is left out, so the files saved before are unchanged
+    assert "default_val" not in model_to_dict(single_world())
 
 
 def test_model_rejects_bad_structure():
@@ -300,14 +312,13 @@ def test_validate_rejects_foreign_tnorm():
 
 
 def test_validate_mkrtychev():
-    from fjl.models import validate_mkrtychev
     good = embed_rpl_valuation({"p": Fraction(1, 2)})
-    assert validate_mkrtychev(good, RPLJ, EMPTY_CS).ok
+    assert validate_model(good.point, RPLJ, EMPTY_CS).ok
     bad = MkrtychevModel(
         tnorm=L, valuation={},
         evidence={(s, Implies(p, q)): Fraction(1), (t, p): Fraction(1),
                   (App(s, t), q): Fraction(1, 2)})
-    report = validate_mkrtychev(bad, RPLJ, EMPTY_CS)
+    report = validate_model(bad.point, RPLJ, EMPTY_CS)
     assert any(v.kind == "FE1" for v in report.violations)
 
 
@@ -425,7 +436,6 @@ def test_evaluators_agree_with_naive_recursion(case):
         assert eval_worlds(m, f) == expected
         for w in m.worlds:
             assert eval_formula(m, w, f) == expected[w]
-            assert eval_box(m, w, f) == _naive_box(m, w, g)
         # one shared pass over formulas with common subformulas
         assert eval_many(m, formulas) == [
             {w: _naive_value(m, w, expand_sugar(h)) for w in m.worlds} for h in formulas]

@@ -11,12 +11,11 @@ from fjl.parser import ConstantNotAllowedError, LexicalError, ParseError, parse_
 from fjl.proofs import (
     Ax, BL_THEOREMS, Derivation, DerivationBuilder, EMPTY_CS, FiniteCS, Gian,
     GRADED_THEOREMS, Hyp, Ian, MP, ProofError, ShapeError, Step, TotalCS,
-    build_gmp, build_jgmp, build_mon, check_cs, check_derivation,
-    format_derivation, graded_dichotomy, graded_exact_one_equivalence,
-    graded_exact_one_unwrap, graded_lower_zero, graded_refute_lower,
-    graded_refute_upper, graded_upper_one, graded_weakening, parse_cs,
-    parse_derivation, power_formula, theorem_conj_monotone, theorem_exchange,
-    theorem_implication_weak_intro, theorem_prelinearity,
+    check_cs, check_derivation, format_derivation, graded_dichotomy,
+    graded_exact_one_equivalence, graded_exact_one_unwrap, graded_lower_zero,
+    graded_refute_lower, graded_refute_upper, graded_upper_one,
+    graded_weakening, parse_cs, parse_derivation, theorem_conj_monotone,
+    theorem_exchange, theorem_implication_weak_intro, theorem_prelinearity,
     theorem_strong_to_weak, theorem_unit, theorem_weak_projection,
     theorem_weakening,
 )
@@ -167,46 +166,54 @@ def test_total_cs_membership_and_constants():
         cs.formula_for("c_999")
 
 
+def _builder(*premises: str):
+    """An RPLJ builder over the hypotheses ``premises``, and their steps."""
+    b = DerivationBuilder(RPLJ, EMPTY_CS, [parse_formula(h) for h in premises])
+    return b, [b.hyp(i) for i in range(len(premises))]
+
+
+def _gmp(implication: str, antecedent: str) -> Derivation:
+    b, (i, j) = _builder(implication, antecedent)
+    b.gmp(i, j)
+    return b.build()
+
+
 def test_build_gmp_grades():
-    d = build_gmp(parse_formula("#3/4 -> (p -> q)"), parse_formula("#1/2 -> p"))
+    d = _gmp("#3/4 -> (p -> q)", "#1/2 -> p")
     assert check_derivation(d, RPLJ, EMPTY_CS).ok
     assert d.conclusion == parse_formula("#1/4 -> q")
-    unit = build_gmp(parse_formula("#1 -> (p -> q)"), parse_formula("#1 -> p"))
+    unit = _gmp("#1 -> (p -> q)", "#1 -> p")
     assert unit.conclusion == parse_formula("#1 -> q")
 
 
 def test_build_gmp_shape_mismatch():
     with pytest.raises(ShapeError):
-        build_gmp(parse_formula("#3/4 -> (p -> q)"), parse_formula("#1/2 -> r"))
+        _gmp("#3/4 -> (p -> q)", "#1/2 -> r")
     with pytest.raises(ShapeError):
-        build_gmp(parse_formula("p -> q"), parse_formula("#1/2 -> p"))
+        _gmp("p -> q", "#1/2 -> p")
 
 
 def test_build_jgmp():
-    d = build_jgmp(parse_formula("s:{>=2/3}(p -> q)"), parse_formula("t:{>=2/3}p"))
+    b, (i, j) = _builder("s:{>=2/3}(p -> q)", "t:{>=2/3}p")
+    b.jgmp(i, j)
+    d = b.build()
     assert check_derivation(d, RPLJ, EMPTY_CS).ok
     assert d.conclusion == expand_sugar(parse_formula("s.t:{>=1/3}q"))
 
 
 def test_build_mon_both_sides():
-    base = parse_formula("s:{>=1/2}p")
-    right = build_mon(base, "right", t)
-    left = build_mon(base, "left", t)
-    assert check_derivation(right, RPLJ, EMPTY_CS).ok
-    assert right.conclusion == expand_sugar(parse_formula("s+t:{>=1/2}p"))
-    assert left.conclusion == expand_sugar(parse_formula("t+s:{>=1/2}p"))
+    b, (i,) = _builder("s:{>=1/2}p")
+    right = b.formula(b.mon(i, "right", t))
+    left = b.formula(b.mon(i, "left", t))
+    assert check_derivation(b.build(), RPLJ, EMPTY_CS).ok
+    assert right == expand_sugar(parse_formula("s+t:{>=1/2}p"))
+    assert left == expand_sugar(parse_formula("t+s:{>=1/2}p"))
 
 
 def test_builders_emit_only_primitive_rules():
-    d = build_jgmp(parse_formula("s:{>=2/3}(p -> q)"), parse_formula("t:{>=2/3}p"))
-    assert all(isinstance(s.rule, (Hyp, Ax, MP, Ian, Gian)) for s in d.steps)
-
-
-def test_power_formula():
-    assert power_formula(p, 1) == p
-    assert power_formula(p, 3) == StrongConj(StrongConj(p, p), p)
-    with pytest.raises(ValueError):
-        power_formula(p, 0)
+    b, (i, j) = _builder("s:{>=2/3}(p -> q)", "t:{>=2/3}p")
+    b.jgmp(i, j)
+    assert all(isinstance(s.rule, (Hyp, Ax, MP, Ian, Gian)) for s in b.steps)
 
 
 def test_power_formula_is_square_under_luka():
@@ -215,7 +222,7 @@ def test_power_formula_is_square_under_luka():
     m = FittingModel(worlds=("w",), access=frozenset(),
                      tnorm=TNormKind.LUKASIEWICZ,
                      valuation={("w", "p"): Fraction(3, 4)}, evidence={})
-    assert eval_formula(m, "w", power_formula(p, 2)) == Fraction(1, 2)
+    assert eval_formula(m, "w", StrongConj(p, p)) == Fraction(1, 2)
 
 
 @pytest.mark.parametrize("key", sorted(BL_THEOREMS))
@@ -288,7 +295,7 @@ def test_closed_theorems_are_semantically_valid():
 
 
 def test_derivation_file_roundtrip():
-    d = build_gmp(parse_formula("#3/4 -> (p -> q)"), parse_formula("#1/2 -> p"))
+    d = _gmp("#3/4 -> (p -> q)", "#1/2 -> p")
     text = format_derivation(d)
     back = parse_derivation(text, RPLJ)
     assert check_derivation(back, RPLJ, EMPTY_CS).ok
@@ -297,7 +304,7 @@ def test_derivation_file_roundtrip():
 
 
 def test_parsed_files_share_equal_subformulas():
-    d = build_gmp(parse_formula("#3/4 -> (p -> q)"), parse_formula("#1/2 -> p"))
+    d = _gmp("#3/4 -> (p -> q)", "#1/2 -> p")
     back = parse_derivation(format_derivation(d), RPLJ)
     mp_steps = [s for s in back.steps if isinstance(s.rule, MP)]
     assert mp_steps

@@ -99,6 +99,7 @@ def random_formula(rng: random.Random, config: LogicConfig, depth: int = 3) -> F
 
 def random_scheme_instance(rng: random.Random, scheme: Scheme,
                            config: LogicConfig, depth: int = 2) -> Formula:
+    """An instance of ``scheme`` over fresh draws, already expanded."""
     binding: dict = {}
     for meta in scheme.free_metavariables():
         if isinstance(meta, FMeta):

@@ -144,24 +144,21 @@ def _bind(pattern, node, binding: dict) -> bool:
             and _bind(pattern.right, node.right, binding))
 
 
-def _subst(pattern, binding: dict):
-    """``pattern`` with every metavariable replaced by its binding."""
-    cls = type(pattern)
-    if cls is FMeta or cls is TMeta:
-        return binding[pattern.name]
-    if cls is RMeta:
-        return TruthConst(binding[pattern.name])
-    children = pattern._nodes()
-    return cls(*(_subst(c, binding) for c in children)) if children else pattern
-
-
-def _metavariables(pattern):
-    """The metavariables of ``pattern`` in pre-order, repeats included."""
-    if isinstance(pattern, (FMeta, TMeta, RMeta)):
-        yield pattern
-    else:
-        for child in pattern._nodes():
-            yield from _metavariables(child)
+def _compile(pattern) -> tuple:
+    """``pattern`` as a flat pre-order program of ``(op, arg)`` pairs: a
+    metavariable's class and name, ``(None, leaf)`` for a fixed leaf and
+    ``(cls, None)`` for a connective, whose operands follow it."""
+    program, stack = [], [pattern]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (FMeta, TMeta, RMeta)):
+            program.append((type(node), node.name))
+        elif node._nodes():
+            program.append((type(node), None))
+            stack += reversed(node._nodes())
+        else:
+            program.append((None, node))
+    return tuple(program)
 
 
 @dataclass(frozen=True)
@@ -170,19 +167,26 @@ class Scheme:
 
     ``side`` lists rational metavariables whose value is determined by
     the others; a match binds them structurally and then verifies the
-    computed value, an instantiation computes them.
+    computed value, an instantiation computes them.  The pattern is
+    compiled once into a pre-order program (see :func:`_compile`):
+    ``instantiate`` reads it backward onto a stack of values, and the
+    free metavariables are its metavariable entries.  ``match`` walks
+    the pattern itself, which costs less on a match that fails early.
     """
 
     name: str
     pattern: object
     side: tuple = ()
+    _program: tuple = field(init=False, repr=False, compare=False)
     _free: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        program = _compile(self.pattern)
         computed = {name for name, _ in self.side}
-        object.__setattr__(self, "_free", tuple(
-            m for m in dict.fromkeys(_metavariables(self.pattern))
-            if not (isinstance(m, RMeta) and m.name in computed)))
+        object.__setattr__(self, "_program", program)
+        object.__setattr__(self, "_free", tuple(dict.fromkeys(
+            op(arg) for op, arg in program
+            if op in (FMeta, TMeta) or (op is RMeta and arg not in computed))))
 
     def match(self, f: Formula) -> Optional[dict]:
         """The substitution making the pattern ``f``'s expansion, or None."""
@@ -198,7 +202,18 @@ class Scheme:
         full = dict(binding)
         for name, fn in self.side:
             full[name] = fn(full)
-        return _subst(self.pattern, full)
+        stack: list = []
+        push, pop = stack.append, stack.pop
+        for op, arg in reversed(self._program):
+            if op is FMeta or op is TMeta:
+                push(full[arg])
+            elif op is RMeta:
+                push(TruthConst(full[arg]))
+            elif op is None:
+                push(arg)
+            else:
+                push(op(pop(), pop()))
+        return stack[0]
 
     def free_metavariables(self) -> tuple:
         """Metavariables a caller must supply to instantiate the scheme,

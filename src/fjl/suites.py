@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -276,45 +276,50 @@ _SOUNDNESS_BATTERIES: tuple = (
 def soundness_suite(count: int = 60, seed: int = 0,
                     logic: Optional[str] = None, **_) -> SuiteReport:
     """Every active axiom instance takes value 1 in every generated valid
-    model; modus ponens preserves value 1."""
-    if logic is None:
-        batteries = _SOUNDNESS_BATTERIES
-    else:
-        batteries = ((logic, None),)
-    label = "soundness" if logic is None else f"soundness({logic})"
-    report = SuiteReport(label)
-    for logic_name, kind in batteries:
+    model; modus ponens preserves value 1.  Each seed's model, instances
+    and premises are drawn once per logic and checked under each of its
+    batteries' t-norms (BLJ: L, G, P; a given t-norm moves no other draw).
+    Failures are reported battery by battery, in battery order."""
+    batteries = _SOUNDNESS_BATTERIES if logic is None else ((logic, None),)
+    report = SuiteReport("soundness" if logic is None else f"soundness({logic})")
+    for logic_name, group in itertools.groupby(batteries, key=lambda battery: battery[0]):
+        kinds = [kind for _, kind in group]
         config = LogicConfig.from_name(logic_name)
         cs = TotalCS()
-        params = ModelParams(tnorm=kind)
+        params = ModelParams(tnorm=kinds[0])
         schemes = active_schemes(config)
+        parts = [SuiteReport(report.name) for _ in kinds]
         for k in range(count):
             rng = random.Random(seed + k)
-            model = random_model(seed + k, params, config, cs)
-            instances = [(scheme.name,
-                          expand_sugar(random_scheme_instance(rng, scheme, config, 2)))
+            drawn = random_model(seed + k, params, config, cs)
+            instances = [(scheme.name, random_scheme_instance(rng, scheme, config, 2))
                          for scheme in schemes]
             # sampled premises of modus ponens, evaluated with the instances
             a = expand_sugar(random_formula(rng, config, 2))
             b = expand_sugar(random_formula(rng, config, 2))
-            rows = eval_validated(model, config, cs,
-                                  [inst for _, inst in instances] + [a, Implies(a, b), b])
-            if rows is None:
-                report.fail(f"{logic_name}/{kind}@{seed + k}",
-                            "generated model failed validation")
-                continue
-            *values, va, vab, vb = rows
-            for (name, inst), inst_values in zip(instances, values):
-                report.cases += 1
-                for w, value in inst_values.items():
-                    if value != ONE:
-                        report.fail(f"{logic_name}/{name}@{seed + k}",
-                                    f"axiom instance {print_formula(inst)} = {value} at {w}")
-            # modus ponens preserves value 1
-            report.cases += 1
-            for w in model.worlds:
-                if va[w] == ONE and vab[w] == ONE and vb[w] != ONE:
-                    report.fail(f"{logic_name}/MP@{seed + k}", f"not preserved at {w}")
+            formulas = [inst for _, inst in instances] + [a, Implies(a, b), b]
+            models = [drawn] + [replace(drawn, tnorm=kind) for kind in kinds[1:]]
+            for kind, part, model in zip(kinds, parts, models):
+                rows = eval_validated(model, config, cs, formulas)
+                if rows is None:
+                    part.fail(f"{logic_name}/{kind}@{seed + k}",
+                              "generated model failed validation")
+                    continue
+                *values, va, vab, vb = rows
+                for (name, inst), inst_values in zip(instances, values):
+                    part.cases += 1
+                    for w, value in inst_values.items():
+                        if value != ONE:
+                            part.fail(f"{logic_name}/{name}@{seed + k}",
+                                      f"axiom instance {print_formula(inst)} = {value} at {w}")
+                # modus ponens preserves value 1
+                part.cases += 1
+                for w in model.worlds:
+                    if va[w] == ONE and vab[w] == ONE and vb[w] != ONE:
+                        part.fail(f"{logic_name}/MP@{seed + k}", f"not preserved at {w}")
+        for part in parts:
+            report.cases += part.cases
+            report.failures += part.failures
     return report
 
 

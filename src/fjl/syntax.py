@@ -11,7 +11,9 @@ connectives, both equivalences and the graded assertion forms
 Nodes are immutable and hash-consed (Filliatre & Conchon, "Type-Safe
 Modular Hash-Consing", 2006): equal nodes are one object, so ``==`` is
 ``is`` and hashing is by identity.  A weak table holds each live node,
-and a node keeps its own sugar expansion.  Expansion, printing,
+and a node keeps its own sugar expansion.  A primitive node is made
+already expanded when its operands are, so :func:`expand_sugar` never
+walks a primitive formula built bottom-up.  Expansion, printing,
 ``repr`` and the structure walks use explicit stacks, so depth is
 bounded by memory, not by the recursion limit.  Truth values are exact
 ``fractions.Fraction`` instances restricted to [0, 1].
@@ -77,7 +79,12 @@ def _new(cls, key: tuple, *values):
             node = object.__new__(cls)
             for name, value in zip(cls._fields, values):
                 object.__setattr__(node, name, value)
-            _mark(node, _SELF if cls is Prop or cls is TruthConst else None)
+            # A primitive node is its own expansion if its formula operands are
+            # (t:A has one, its last field); a pattern's may be metavariables.
+            expanded = cls is Prop or cls is TruthConst or (
+                cls in _PRIMITIVE and getattr(values[-1], "_expanded", None) is _SELF
+                and (cls is Justified or getattr(values[0], "_expanded", None) is _SELF))
+            _mark(node, _SELF if expanded else None)
             _table[key] = weakref.ref(node, partial(_table.pop, key))
     return node
 

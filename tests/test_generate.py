@@ -69,6 +69,17 @@ def test_tnorm_pinning():
     assert m.tnorm == TNormKind.PRODUCT
 
 
+@pytest.mark.parametrize("seed", range(0, 300, 37))
+def test_a_given_tnorm_moves_no_other_draw(seed):
+    """The soundness suite checks one BLJ draw under each t-norm."""
+    drawn = [random_model(seed, ModelParams(tnorm=kind), BLJ, TotalCS()) for kind in TNormKind]
+    assert [m.tnorm for m in drawn] == list(TNormKind)
+    tables = [model_to_dict(m) for m in drawn]
+    for table in tables:
+        del table["tnorm"]
+    assert tables[0] == tables[1] == tables[2]
+
+
 def test_scheme_instances_are_instances():
     rng = random.Random(0)
     for scheme in active_schemes(RPLJ):

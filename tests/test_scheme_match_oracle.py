@@ -17,8 +17,8 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 import scheme_match_oracle as oracle
-from fjl.generate import random_scheme_instance
-from fjl.logics import LogicConfig, active_schemes
+from fjl.generate import random_formula, random_scheme_instance, random_term, random_unit
+from fjl.logics import FMeta, LogicConfig, TMeta, active_schemes
 from fjl.syntax import App, Const, Sum, TruthConst, Var, expand_sugar
 
 CONFIGS = [LogicConfig.from_name(name) for name in ("BLJ", "LJ", "GJ", "PiJ", "RPLJ", "J")]
@@ -76,3 +76,23 @@ def test_match_and_instantiate_agree_with_oracle(config, seed):
                     assert list(got) == list(expected)
                     assert candidate.instantiate(got) is oracle.instantiate(candidate, expected)
         assert scheme.match(instance) is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(CONFIGS), st.integers(0, 10**6))
+def test_match_recovers_the_binding_it_instantiates(config, seed):
+    """A binding of every metavariable, computed ones included, comes
+    back from matching its instance."""
+    rng = random.Random(seed)
+    for scheme in active_schemes(config):
+        binding = {}
+        for meta in scheme.free_metavariables():
+            if isinstance(meta, FMeta):
+                binding[meta.name] = expand_sugar(random_formula(rng, config, rng.randint(0, 2)))
+            elif isinstance(meta, TMeta):
+                binding[meta.name] = random_term(rng, 2)
+            else:
+                binding[meta.name] = random_unit(rng, 6)
+        for name, fn in scheme.side:
+            binding[name] = fn(binding)
+        assert scheme.match(scheme.instantiate(binding)) == binding, scheme.name

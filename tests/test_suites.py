@@ -1,7 +1,12 @@
+import hashlib
+import json
+
 import pytest
 
-from fjl import models
+from fjl import models, suites
 from fjl.suites import DEGREE_CORPUS, SUITES, run_suite
+from fjl.syntax import print_formula
+from fjl.tnorms import KERNELS, TNormKind
 
 SMALL = {
     "adjunction": dict(bound=5),
@@ -84,3 +89,44 @@ def test_soundness_walks_each_models_closure_once(monkeypatch):
     monkeypatch.setattr(models, "subformulas_many", lambda roots: walks.append(1) or walk(roots))
     report = run_suite("soundness", count=1, seed=0)
     assert report.ok and len(walks) == 7
+
+
+def _digest(data) -> str:
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+def test_soundness_draws_are_pinned(monkeypatch):
+    """Seeds 0-49: every battery's instances and MP premises, as printed,
+    in seed order.  A moved draw changes the digest."""
+    drawn: dict = {}
+    evaluate = suites.eval_validated
+
+    def spy(model, config, cs, formulas):
+        battery = f"{config.name}/{model.tnorm.code}"
+        drawn.setdefault(battery, []).append([print_formula(f) for f in formulas])
+        return evaluate(model, config, cs, formulas)
+
+    monkeypatch.setattr(suites, "eval_validated", spy)
+    report = run_suite("soundness", count=50, seed=0)
+    assert report.ok and len(drawn) == 7
+    assert _digest(drawn) == "6d0f3e87277335e47bda5138b2c9a27fa656179b91a89fba901333d1859c7750"
+
+
+@pytest.mark.parametrize("kinds, failures, digest", [
+    ((TNormKind.GOEDEL,), 92,
+     "406ffa477ec6333b27fa486a7f83cfa6c82d8fd1a543790c5894c326cb971a49"),
+    ((TNormKind.LUKASIEWICZ, TNormKind.GOEDEL), 238,
+     "7375fa93a6fe84080e3b0d14e2084424865d20daaeae70a053061aed6013e6b4"),
+])
+def test_soundness_failures_keep_battery_order(monkeypatch, kinds, failures, digest):
+    """Implication kernels one grid unit too high fail axiom instances in
+    the batteries that use them; the cases and the ordered failures are
+    those of one battery after another.  With L and G both raised, two of
+    BLJ's batteries fail, whose failures carry the same labels."""
+    for kind in kinds:
+        conj, imp = KERNELS[kind]
+        monkeypatch.setitem(KERNELS, kind, (conj, lambda xs, ys, top, imp=imp:
+                                            [v + 1 for v in imp(xs, ys, top)]))
+    report = run_suite("soundness", count=3, seed=0)
+    assert report.cases == 270 and len(report.failures) == failures
+    assert _digest([report.cases, [[f.case, f.message] for f in report.failures]]) == digest

@@ -1,14 +1,22 @@
 from fractions import Fraction
 
+import itertools
+import random
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from conftest import formulas, terms
+from fjl import syntax
+from fjl.generate import random_formula
+from fjl.logics import LogicConfig
 from fjl.parser import parse_formula
 from fjl.syntax import (
-    App, FALSUM, GradedAtLeast, GradedExact, Implies, Justified, Neg,
-    Prop, StrongConj, Sum, TruthConst, VERUM, Var, WeakConj, expand_sugar,
-    is_primitive, print_formula, print_term, term_dag_size,
+    App, BiImpl, Const, Equiv, FALSUM, GradedAtLeast, GradedAtMost, GradedExact,
+    Implies, Justified, Neg, Prop, StrongConj, Sum, TruthConst, VERUM, Var,
+    WeakConj, WeakDisj, expand_sugar, is_primitive, print_formula, print_term,
+    term_dag_size,
 )
 
 p, q = Prop("p"), Prop("q")
@@ -101,3 +109,62 @@ def test_expand_idempotent(f):
 @given(formulas)
 def test_expand_is_primitive(f):
     assert is_primitive(expand_sugar(f))
+
+
+def _naive_expansion(f):
+    """The expansion of ``f`` by structural recursion, node by node."""
+    cls = type(f)
+    if cls in (Prop, TruthConst):
+        return f
+    if cls is Neg:
+        return Implies(_naive_expansion(f.body), FALSUM)
+    if cls in (Justified, GradedAtLeast, GradedAtMost, GradedExact):
+        body = Justified(f.term, _naive_expansion(f.body))
+        if cls is Justified:
+            return body
+        grade = TruthConst(f.grade)
+        return {GradedAtLeast: Implies(grade, body), GradedAtMost: Implies(body, grade),
+                GradedExact: _naive_wedge(Implies(grade, body), Implies(body, grade))}[cls]
+    a, b = _naive_expansion(f.left), _naive_expansion(f.right)
+    return {StrongConj: lambda: StrongConj(a, b), Implies: lambda: Implies(a, b),
+            WeakConj: lambda: _naive_wedge(a, b),
+            WeakDisj: lambda: _naive_wedge(Implies(Implies(a, b), b), Implies(Implies(b, a), a)),
+            Equiv: lambda: StrongConj(Implies(a, b), Implies(b, a)),
+            BiImpl: lambda: _naive_wedge(Implies(a, b), Implies(b, a))}[cls]()
+
+
+def _naive_wedge(a, b):
+    return StrongConj(a, Implies(a, b))
+
+
+_LOGICS = [LogicConfig.from_name(name) for name in ("BLJ", "RPLJ", "J")]
+generated_formulas = st.builds(
+    lambda config, seed, depth: random_formula(random.Random(seed), config, depth),
+    st.sampled_from(_LOGICS), st.integers(0, 10**6), st.integers(0, 4))
+
+
+@given(formulas | generated_formulas)
+def test_expansion_agrees_with_a_naive_recursion(f):
+    """Built directly, by the generator, or by the parser from the text."""
+    expected = _naive_expansion(f)
+    assert expand_sugar(f) is expected
+    assert expand_sugar(parse_formula(print_formula(f))) is expected
+
+
+_FRESH = itertools.count()
+
+
+def test_primitive_formulas_are_built_expanded(monkeypatch):
+    """No expansion walk for a primitive formula over atoms never seen
+    before, built bottom-up or parsed; a sugared operand is still walked."""
+    walks = []
+    walk = syntax._postorder
+    monkeypatch.setattr(syntax, "_postorder", lambda *args: walks.append(1) or walk(*args))
+    a, b = (Prop(f"fresh_{next(_FRESH)}") for _ in range(2))
+    f = Justified(App(Var("x"), Const("c")), Implies(StrongConj(a, TruthConst(0.5)), b))
+    assert expand_sugar(f) is f
+    g = parse_formula(f"fresh_{next(_FRESH)} & #1/3 -> x:fresh_{next(_FRESH)}")
+    assert expand_sugar(g) is g
+    assert walks == []
+    h = Implies(Neg(a), b)
+    assert expand_sugar(h) is Implies(Implies(a, FALSUM), b) and walks == [1]

@@ -1,15 +1,16 @@
 """fjl: a workbench for fuzzy justification logics.
 
 Parsing and printing for justification-term formulas, exact rational
-semantics over fuzzy Fitting and Mkrtychev models, Hilbert-style proof
-checking under constant specifications, constructive internalization,
-and certified lower/upper bounds on graded degrees.
+semantics over fuzzy Fitting models (a Mkrtychev model is the one-world
+Fitting model at ``w0``), Hilbert-style proof checking under constant
+specifications, constructive internalization, and certified lower/upper
+bounds on graded degrees.
 """
 
 from .logics import Base, LogicConfig, Scheme, active_schemes, axiom_instance_of, schemes_by_tag
 from .models import (
-    FittingModel, MkrtychevModel, crisp_eval, embed_rpl_valuation, eval_formula,
-    eval_many, eval_mkrtychev, eval_validated, load_model, model_from_dict,
+    FittingModel, crisp_eval, embed_rpl_valuation, eval_formula, eval_many,
+    eval_validated, load_model, model_from_dict,
     model_to_dict, save_model, validate_model,
 )
 from .generate import (

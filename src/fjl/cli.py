@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit status: 0 on success or a passing check, 1 on a failing check,
-rejected input or a standard output closed early, 2 on usage errors.
+Exit status: 0 on success or a passing check; 1 on a failing check,
+rejected input or a standard output closed early; 2 on usage errors and
+malformed or ill-formed formula, derivation, model or ``--cs`` files.
 ``FJL_SEED`` overrides the default seed of every seeded subcommand;
 ``--json``, before or after the subcommand, switches reports, and the
 errors that end a command (usage errors included), to JSON.
@@ -46,13 +47,23 @@ def _config(args) -> LogicConfig:
                                  crisp=getattr(args, "crisp", False))
 
 
-def _load_cs(spec: str, config: LogicConfig):
+def _read_cs(spec: str, config: LogicConfig):
     if spec == "total":
         return TotalCS()
     if spec == "empty":
         return FiniteCS()
     with open(spec, "r", encoding="utf-8") as handle:
         return parse_cs(handle.read(), config)
+
+
+def _load_cs(spec: str, config: LogicConfig):
+    """The specification ``--cs`` names; the kernel trusts its entries, so
+    a ``ProofError`` names the first problem ``check_cs`` finds in a file."""
+    cs = _read_cs(spec, config)
+    problems = check_cs(cs, config).problems
+    if problems:
+        raise ProofError(f"{spec}: ill-formed constant specification: {problems[0]}")
+    return cs
 
 
 def _add_logic_flags(sub):
@@ -155,8 +166,7 @@ def cmd_check_proof(args) -> int:
 
 def cmd_check_cs(args) -> int:
     config = _config(args)
-    cs = _load_cs(args.cs_file, config)
-    report = check_cs(cs, config)
+    report = check_cs(_read_cs(args.cs_file, config), config)
     payload = {"ok": report.ok, "problems": report.problems}
     _emit(payload, args.json, report.summary())
     return 0 if report.ok else 1

@@ -185,7 +185,7 @@ def provability_degree_lb(hypotheses: Iterable[Formula], goal: Formula,
         else:
             hit = axiom_instance_of(f, config)
             if hit is not None:
-                record(f, ONE, b.at_grade_one(b.axiom(hit[0], f)))
+                record(f, ONE, b.at_grade_one(b.axiom(hit, f)))
 
     if config.graded_necessitation:
         if isinstance(cs, FiniteCS):
@@ -339,11 +339,9 @@ def _minimal_model(hyp_e: list, goal_e: Formula, config: LogicConfig,
                         changed = True
         if not changed:
             break
-    world = "w0"
-    return FittingModel(
-        worlds=(world,), access=frozenset(), tnorm=tnorm,
-        valuation={(world, p): v for p, v in val.items()},
-        evidence={(world, t, a): v for (t, a), v in evid.items()})
+    return FittingModel(worlds=("w0",), access=frozenset(), tnorm=tnorm,
+                        valuation={("w0", p): v for p, v in val.items()},
+                        evidence={("w0", t, a): v for (t, a), v in evid.items()})
 
 
 def truth_degree_ub(hypotheses: Iterable[Formula], goal: Formula,

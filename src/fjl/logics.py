@@ -189,9 +189,10 @@ class Scheme:
             if op in (FMeta, TMeta) or (op is RMeta and arg not in computed))))
 
     def match(self, f: Formula) -> Optional[dict]:
-        """The substitution making the pattern ``f``'s expansion, or None."""
+        """The substitution making the pattern ``f``, or None.  Precondition:
+        ``f`` is expanded (``axiom_instance_of`` expands for its callers)."""
         binding: dict = {}
-        if not _bind(self.pattern, expand_sugar(f), binding):
+        if not _bind(self.pattern, f, binding):
             return None
         for name, fn in self.side:
             if binding.get(name) != fn(binding):
@@ -323,11 +324,10 @@ def schemes_by_tag(config: LogicConfig) -> MappingProxyType:
     return MappingProxyType(table)
 
 
-def axiom_instance_of(f: Formula, config: LogicConfig):
-    """First active scheme that ``f`` instantiates, with its substitution."""
+def axiom_instance_of(f: Formula, config: LogicConfig) -> Optional[str]:
+    """The tag of the first active scheme that ``f`` instantiates, or None."""
     g = expand_sugar(f)
     for scheme in active_schemes(config):
-        binding = scheme.match(g)
-        if binding is not None:
-            return scheme.name, binding
+        if scheme.match(g) is not None:
+            return scheme.name
     return None

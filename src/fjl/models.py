@@ -1,4 +1,5 @@
-"""Finite fuzzy Fitting and Mkrtychev models: validation and evaluation.
+"""Finite fuzzy Fitting models: validation and evaluation.  A Mkrtychev
+model is the one-world Fitting model at ``w0`` with no successor.
 
 Evidence functions are total in the semantics but finitely presented
 here as a table plus a default value.  Validation therefore checks the
@@ -99,31 +100,6 @@ class FittingModel:
         return self.evidence.get((world, term, body), self.default_evidence)
 
 
-_POINT = "w0"
-
-
-@dataclass(frozen=True, eq=False)
-class MkrtychevModel:
-    """Single-point model; justified formulas take the evidence value directly.
-    ``point`` is its one-world, no-successor Fitting model, which normalises
-    and checks the tables: with no successor the box is 1 and t(e, 1) = e."""
-
-    tnorm: TNormKind
-    valuation: dict      # prop name -> value
-    evidence: dict       # (Term, Formula) -> value
-    default_evidence: Fraction = ONE
-    default_valuation: Fraction = ZERO
-    point: FittingModel = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", FittingModel(
-            worlds=(_POINT,), access=frozenset(), tnorm=self.tnorm,
-            valuation={(_POINT, p): v for p, v in self.valuation.items()},
-            evidence={(_POINT, t, a): v for (t, a), v in self.evidence.items()},
-            default_evidence=self.default_evidence,
-            default_valuation=self.default_valuation))
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -208,10 +184,6 @@ def eval_formula(model: FittingModel, world: str, f: Formula) -> Fraction:
     return eval_worlds(model, f)[world]
 
 
-def eval_mkrtychev(model: MkrtychevModel, f: Formula) -> Fraction:
-    return eval_worlds(model.point, f)[_POINT]
-
-
 def crisp_eval(model: FittingModel, world: str, f: Formula) -> Fraction:
     """Boolean evaluation: implication and the justification clause are
     classical.  Recursive on purpose: the crisp suite's independent oracle."""
@@ -244,11 +216,12 @@ def _crisp(m: FittingModel, w: str, f: Formula) -> Fraction:
     raise ModelError(f"cannot evaluate {f!r}")
 
 
-def embed_rpl_valuation(valuation: Mapping[str, Fraction]) -> MkrtychevModel:
-    """One-point model with constant evidence 1; on justification-free
-    formulas it reproduces the plain rational Pavelka valuation."""
-    return MkrtychevModel(tnorm=TNormKind.LUKASIEWICZ,
-                          valuation=dict(valuation), evidence={})
+def embed_rpl_valuation(valuation: Mapping[str, Fraction]) -> FittingModel:
+    """The Mkrtychev model of ``valuation``: world ``w0``, no successor,
+    constant evidence 1.  On justification-free formulas it reproduces
+    the plain rational Pavelka valuation, and every ``t:A`` is 1 there."""
+    return FittingModel(worlds=("w0",), access=frozenset(), tnorm=TNormKind.LUKASIEWICZ,
+                        valuation={("w0", p): v for p, v in valuation.items()}, evidence={})
 
 
 # ---------------------------------------------------------------------------

@@ -846,15 +846,16 @@ def graded_dichotomy(t: Term, a: Formula, r: Fraction) -> Derivation:
     return b.build()
 
 
+#: Arity 2 takes (t, a), 3 takes (t, a, r) and 4 takes (t, a, low, high).
 GRADED_THEOREMS = {
-    1: ("upper-one", graded_upper_one),
-    2: ("lower-zero", graded_lower_zero),
-    3: ("refute-upper", graded_refute_upper),
-    4: ("refute-lower", graded_refute_lower),
-    5: ("grade-weakening", graded_weakening),
-    6: ("exact-one-equivalence", graded_exact_one_equivalence),
-    7: ("exact-one-unwrap", graded_exact_one_unwrap),
-    8: ("grade-dichotomy", graded_dichotomy),
+    1: ("upper-one", graded_upper_one, 2),
+    2: ("lower-zero", graded_lower_zero, 2),
+    3: ("refute-upper", graded_refute_upper, 3),
+    4: ("refute-lower", graded_refute_lower, 3),
+    5: ("grade-weakening", graded_weakening, 4),
+    6: ("exact-one-equivalence", graded_exact_one_equivalence, 2),
+    7: ("exact-one-unwrap", graded_exact_one_unwrap, 2),
+    8: ("grade-dichotomy", graded_dichotomy, 3),
 }
 
 

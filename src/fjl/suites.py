@@ -22,16 +22,11 @@ from .generate import (
 from .lifting import degree_interval, lift
 from .logics import LogicConfig, active_schemes
 from .models import (
-    FittingModel, crisp_eval, embed_rpl_valuation, eval_formula, eval_mkrtychev,
-    eval_validated, eval_worlds, validate_model,
+    FittingModel, crisp_eval, embed_rpl_valuation, eval_formula, eval_validated,
+    eval_worlds, validate_model,
 )
 from .parser import parse_formula
-from .proofs import (
-    BL_THEOREMS, EMPTY_CS, TotalCS, check_derivation, graded_dichotomy,
-    graded_exact_one_equivalence, graded_exact_one_unwrap, graded_lower_zero,
-    graded_refute_lower, graded_refute_upper, graded_upper_one,
-    graded_weakening,
-)
+from .proofs import BL_THEOREMS, EMPTY_CS, GRADED_THEOREMS, TotalCS, check_derivation
 from .syntax import (
     App, Formula, GradedAtLeast, GradedAtMost, GradedExact, Implies,
     Justified, ONE, Prop, StrongConj, Sum, TruthConst, ZERO, expand_sugar,
@@ -177,21 +172,12 @@ def _bl_theorem_instances(rng: random.Random) -> list:
 
 
 def _graded_theorem_instances(rng: random.Random) -> list:
+    """One random instantiation of each graded theorem, with its derivation."""
     t = random_term(rng, 1)
     a = random_formula(rng, _RPLJ, 2)
-    r = Fraction(rng.randint(0, 6), 6)
-    r2 = Fraction(rng.randint(0, 6), 6)
-    low, high = min(r, r2), max(r, r2)
-    return [
-        ("upper-one", graded_upper_one(t, a)),
-        ("lower-zero", graded_lower_zero(t, a)),
-        ("refute-upper", graded_refute_upper(t, a, r)),
-        ("refute-lower", graded_refute_lower(t, a, r)),
-        ("grade-weakening", graded_weakening(t, a, low, high)),
-        ("exact-one-equivalence", graded_exact_one_equivalence(t, a)),
-        ("exact-one-unwrap", graded_exact_one_unwrap(t, a)),
-        ("grade-dichotomy", graded_dichotomy(t, a, r)),
-    ]
+    r, r2 = Fraction(rng.randint(0, 6), 6), Fraction(rng.randint(0, 6), 6)
+    args = {2: (t, a), 3: (t, a, r), 4: (t, a, min(r, r2), max(r, r2))}
+    return [(name, fn(*args[arity])) for name, fn, arity in GRADED_THEOREMS.values()]
 
 
 def _theorem_suite(name: str, config: LogicConfig, instances_fn,
@@ -508,12 +494,12 @@ def conservativity_suite(count: int = 200, seed: int = 0, **_) -> SuiteReport:
         f = expand_sugar(random_formula(rng, rpl, 3))
         model = embed_rpl_valuation(valuation)
         expected = _direct_luka_value(f, valuation)
-        got = eval_mkrtychev(model, f)
+        got = eval_formula(model, "w0", f)
         if got != expected:
             report.fail(f"seed {seed + k}",
                         f"{print_formula(f)}: embedded {got} vs direct {expected}")
         justified = Justified(random_term(rng, 2), f)
-        if eval_mkrtychev(model, justified) != ONE:
+        if eval_formula(model, "w0", justified) != ONE:
             report.fail(f"seed {seed + k}", "justified formula not constant 1")
     return report
 

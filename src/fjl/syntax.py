@@ -360,10 +360,6 @@ def _unexpanded(f: Formula) -> list:
     return [a for a in f._operands() if a._expanded is None]
 
 
-def is_primitive(f: Formula) -> bool:
-    return all(isinstance(g, _PRIMITIVE) for g in subformulas(f))
-
-
 # ---------------------------------------------------------------------------
 # Structure walks
 

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 
 from fjl.cli import main
-from fjl.generate import random_derivation, random_model
-from fjl.logics import LogicConfig
+from fjl.generate import random_derivation, random_formula, random_model, random_scheme_instance
+from fjl.logics import LogicConfig, active_schemes
 from fjl.models import FittingModel, model_to_dict, save_model
 from fjl.parser import parse_formula
-from fjl.proofs import TotalCS, format_derivation
+from fjl.proofs import TotalCS, cs_entry, format_derivation
 from fjl.syntax import Prop, Var, expand_sugar, print_formula
 from fjl.tnorms import TNormKind
 from conftest import formulas
@@ -162,6 +162,42 @@ def test_check_cs_command(capsys, tmp_path):
     bad = tmp_path / "bad_cs.txt"
     bad.write_text("c2:c1:((p & q) -> p)\n")
     assert main(["check-cs", "--logic", "BLJ", str(bad)]) == 1
+
+
+def test_an_ill_formed_cs_file_is_an_input_error(capsys, tmp_path):
+    # the kernel trusts a --cs file's entries, so one that fails check-cs
+    # ends the command with exit 2; check-cs itself lists every problem
+    cs = tmp_path / "cs.txt"
+    cs.write_text("p\nc2:c1:((p & q) -> p)\n")
+    first = "p: not a constant-justification chain"
+    for logic, rule in (("BLJ", "IAN"), ("RPLJ", "GIAN")):
+        proof = tmp_path / f"{rule}.txt"
+        proof.write_text(f"STEP 1 p BY {rule}\n")
+        assert main(["check-proof", "--logic", logic, "--cs", str(cs), str(proof)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {cs}: ill-formed constant specification: {first}\n"
+    assert main(["degree", "--cs", str(cs), "--formula", "p"]) == 2
+    assert first in capsys.readouterr().err
+    assert main(["--json", "check-proof", "--logic", "BLJ", "--cs", str(cs),
+                 str(tmp_path / "IAN.txt")]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False and first in payload["error"]
+    assert main(["check-cs", "--logic", "BLJ", str(cs)]) == 1
+    out = capsys.readouterr().out
+    assert first in out and "missing (downward closure)" in out
+    assert main(["--json", "check-cs", "--logic", "BLJ", str(cs)]) == 1
+    assert len(json.loads(capsys.readouterr().out)["problems"]) == 2
+
+
+def test_a_well_formed_cs_file_feeds_the_kernel(capsys, tmp_path):
+    cs = tmp_path / "cs.txt"
+    cs.write_text("c1:((p & q) -> p)\nc2:c1:((p & q) -> p)\n")
+    proof = tmp_path / "proof.txt"
+    proof.write_text("STEP 1 c2:c1:((p & q) -> p) BY IAN\n")
+    assert main(["check-cs", "--logic", "BLJ", str(cs)]) == 0
+    assert main(["check-proof", "--logic", "BLJ", "--cs", str(cs), str(proof)]) == 0
+    proof.write_text("STEP 1 c3:((p & q) -> p) BY IAN\n")
+    assert main(["check-proof", "--logic", "BLJ", "--cs", str(cs), str(proof)]) == 1
 
 
 def test_internalize_command(capsys, tmp_path):
@@ -388,6 +424,7 @@ def test_json_usage_errors(capsys, argv, message):
 # exception escapes, and under --json stdout is one JSON document.
 
 RPLJ = LogicConfig.from_name("RPLJ")
+BLJ = LogicConfig.from_name("BLJ")
 
 #: Token strings and printed formulas, alone or nested ``n`` deep in a prefix.
 SHORT_TEXTS = st.lists(st.sampled_from(ALPHABET), max_size=16).map(" ".join) \
@@ -406,11 +443,42 @@ def _model_text(seed, formula):
     return json.dumps(data, indent=1)
 
 
+def _cs_text(seed, config):
+    """A constant specification for ``config``: chains c1:...:A over axiom
+    instances or arbitrary formulas, some without their downward closure,
+    so both well-formed and ill-formed files come out."""
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.7:
+            scheme = rng.choice(active_schemes(config))
+            entry = random_scheme_instance(rng, scheme, config, rng.randint(0, 1))
+        else:
+            entry = random_formula(rng, config, 2)
+        chain = [entry]
+        for k in range(rng.randint(0, 2)):
+            chain.append(cs_entry(f"c{k + 1}", chain[-1], config.graded_necessitation))
+        # every layer, or only the outermost: a bare body or a missing tail
+        lines += [print_formula(e) for e in (chain[1:] if rng.random() < 0.7 else chain[-1:])]
+    return "\n".join(lines)
+
+
+#: CS texts for the graded system and for a plain one.
+CS_TEXTS = st.builds(_cs_text, st.integers(0, 10**6), st.sampled_from([RPLJ, BLJ]))
+
+
+def _citing(cs_text, rule):
+    """A derivation file citing each entry of ``cs_text`` by ``rule``; as in
+    ``parse_cs``, a line starting with # is a comment, not an entry."""
+    entries = [line for line in cs_text.splitlines() if not line.startswith("#")]
+    return "".join(f"STEP {i} {line} BY {rule}\n" for i, line in enumerate(entries, start=1))
+
+
 GENERATED = {
     "model": st.builds(_model_text, st.integers(0, 30), st.none() | TEXTS),
     "proof": st.integers(1, 12).map(lambda seed: format_derivation(
         random_derivation(random.Random(seed), RPLJ, TotalCS()))),
-    "cs": st.lists(st.just("c1:((p & q) -> p)") | TEXTS, max_size=3).map("\n".join),
+    "cs": CS_TEXTS | st.lists(st.just("c1:((p & q) -> p)") | TEXTS, max_size=3).map("\n".join),
 }
 #: Character edits: insert (0), delete (1) or overwrite (2) a piece at a position.
 GARBLE = st.lists(st.tuples(
@@ -457,6 +525,9 @@ def _command(draw):
         argv += draw(st.sampled_from([[], ["--formula", draw(TEXTS)]]))
     elif command == "check-proof":
         files["proof.txt"] = draw(_file("proof"))
+        if "cs.txt" in files and draw(st.booleans()):
+            text = files["cs.txt"].decode("utf-8", "replace")
+            files["proof.txt"] = _citing(text, draw(st.sampled_from(["IAN", "GIAN"]))).encode()
         argv += ["proof.txt"]
     else:
         files["cs.txt"] = draw(_file("cs"))
@@ -477,5 +548,28 @@ def test_commands_keep_the_exit_code_contract(command):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
     if argv[0] == "--json":
         json.loads(out.getvalue())
+
+
+@settings(max_examples=100, deadline=None)
+@given(CS_TEXTS, st.sampled_from(["RPLJ", "BLJ"]))
+def test_check_proof_exits_2_exactly_when_check_cs_fails(text, logic):
+    citing = _citing(text, "GIAN" if logic == "RPLJ" else "IAN")
+    with tempfile.TemporaryDirectory() as d:
+        cs, proof = os.path.join(d, "cs.txt"), os.path.join(d, "proof.txt")
+        with open(cs, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        with open(proof, "w", encoding="utf-8") as handle:
+            handle.write(citing)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            checked = main(["check-cs", "--logic", logic, cs])
+            used = main(["check-proof", "--logic", logic, "--cs", cs, proof])
+    # check-cs exits 2 when a graded text does not parse under BLJ
+    assert checked in (0, 1, 2)
+    # a well-formed file admits every entry; with none, the derivation is empty
+    assert used == (2 if checked else 0 if citing else 1)
+    if checked == 1:
+        assert "ill-formed constant specification" in err.getvalue()

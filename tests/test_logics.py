@@ -89,21 +89,21 @@ def test_match_tc2_with_side_computation():
 
 def test_match_tc1_side_computation():
     f = expand_sugar(parse_formula("(#1/2 -> #3/4) == #1"))
-    name, binding = axiom_instance_of(f, RPLJ)
-    assert name == "TC1"
-    assert binding["v"] == Fraction(1)
+    assert axiom_instance_of(f, RPLJ) == "TC1"
+    (scheme,) = schemes_by_tag(RPLJ)["TC1"]
+    assert scheme.match(f)["v"] == Fraction(1)
 
 
 def test_axiom_instances():
-    assert axiom_instance_of(parse_formula("(p & q) -> (q & p)"), BLJ)[0] == "BL3"
-    assert axiom_instance_of(parse_formula("s:p -> s+t:p"), BLJ)[0] == "Sum1"
-    assert axiom_instance_of(parse_formula("s:p -> t+s:p"), BLJ)[0] == "Sum2"
+    assert axiom_instance_of(parse_formula("(p & q) -> (q & p)"), BLJ) == "BL3"
+    assert axiom_instance_of(parse_formula("s:p -> s+t:p"), BLJ) == "Sum1"
+    assert axiom_instance_of(parse_formula("s:p -> t+s:p"), BLJ) == "Sum2"
     assert axiom_instance_of(parse_formula("p -> (q -> p)"), BLJ) is None
     jt = LogicConfig.from_name("BLJ", extras=("jT",))
-    assert axiom_instance_of(parse_formula("t:p -> p"), jt)[0] == "jT"
+    assert axiom_instance_of(parse_formula("t:p -> p"), jt) == "jT"
     assert axiom_instance_of(parse_formula("t:p -> p"), BLJ) is None
     jd = LogicConfig.from_name("BLJ", extras=("jD",))
-    assert axiom_instance_of(parse_formula("~t:#0"), jd)[0] == "jD"
+    assert axiom_instance_of(parse_formula("~t:#0"), jd) == "jD"
 
 
 def test_metavariable_linearity():

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from conftest import terms, unit_rationals
 from fjl.logics import LogicConfig
 from fjl.models import (
-    FittingModel, MkrtychevModel, ModelError, crisp_eval, embed_rpl_valuation,
-    eval_formula, eval_many, eval_mkrtychev, eval_worlds, load_model, model_from_dict,
+    FittingModel, ModelError, crisp_eval, embed_rpl_valuation, eval_formula,
+    eval_many, eval_worlds, load_model, model_from_dict,
     model_to_dict, validate_model,
 )
 from fjl.parser import parse_formula
@@ -77,16 +77,18 @@ def test_eval_unknown_world():
         eval_formula(single_world(), "nowhere", p)
 
 
+# A Mkrtychev model is a one-world Fitting model with no successor.
+
 def test_mkrtychev_justified_is_pure_evidence():
-    m = MkrtychevModel(tnorm=L, valuation={}, evidence={(t, p): Fraction(2, 5)})
-    assert eval_mkrtychev(m, Justified(t, p)) == Fraction(2, 5)
-    assert eval_mkrtychev(m, TruthConst(0)) == 0
+    m = single_world(evid={(t, p): Fraction(2, 5)})
+    assert eval_formula(m, "w", Justified(t, p)) == Fraction(2, 5)
+    assert eval_formula(m, "w", TruthConst(0)) == 0
 
 
 def test_mkrtychev_application_axiom_value_one():
-    m = MkrtychevModel(tnorm=L, valuation={}, evidence={})
+    m = single_world()
     f = parse_formula("s:(p -> q) -> (t:p -> s.t:q)")
-    assert eval_mkrtychev(m, f) == 1
+    assert eval_formula(m, "w", f) == 1
 
 
 def test_validate_fe1_violation():
@@ -243,10 +245,11 @@ def test_crisp_eval_rejects_non_boolean():
 
 def test_embed_rpl_valuation():
     m = embed_rpl_valuation({"p": Fraction(1, 3)})
-    assert eval_mkrtychev(m, p) == Fraction(1, 3)
-    assert eval_mkrtychev(m, Justified(App(s, t), parse_formula("p -> q"))) == 1
+    assert m.worlds == ("w0",) and m.access == frozenset() and m.tnorm is L
+    assert eval_formula(m, "w0", p) == Fraction(1, 3)
+    assert eval_formula(m, "w0", Justified(App(s, t), parse_formula("p -> q"))) == 1
     half = embed_rpl_valuation({"p": Fraction(1, 2)})
-    assert eval_mkrtychev(half, parse_formula("p & p")) == 0
+    assert eval_formula(half, "w0", parse_formula("p & p")) == 0
 
 
 def test_fuzzy_box_inequality_on_random_models():
@@ -313,12 +316,10 @@ def test_validate_rejects_foreign_tnorm():
 
 def test_validate_mkrtychev():
     good = embed_rpl_valuation({"p": Fraction(1, 2)})
-    assert validate_model(good.point, RPLJ, EMPTY_CS).ok
-    bad = MkrtychevModel(
-        tnorm=L, valuation={},
-        evidence={(s, Implies(p, q)): Fraction(1), (t, p): Fraction(1),
-                  (App(s, t), q): Fraction(1, 2)})
-    report = validate_model(bad.point, RPLJ, EMPTY_CS)
+    assert validate_model(good, RPLJ, EMPTY_CS).ok
+    bad = single_world(evid={(s, Implies(p, q)): Fraction(1), (t, p): Fraction(1),
+                             (App(s, t), q): Fraction(1, 2)})
+    report = validate_model(bad, RPLJ, EMPTY_CS)
     assert any(v.kind == "FE1" for v in report.violations)
 
 

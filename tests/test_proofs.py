@@ -1,8 +1,12 @@
+import inspect
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from conftest import formulas, terms, unit_rationals
 from fjl.generate import random_derivation
 from fjl.lifting import lift
 from fjl.logics import LogicConfig
@@ -14,14 +18,15 @@ from fjl.proofs import (
     check_cs, check_derivation, format_derivation, graded_dichotomy,
     graded_exact_one_equivalence, graded_exact_one_unwrap, graded_lower_zero,
     graded_refute_lower, graded_refute_upper, graded_upper_one,
-    graded_weakening, parse_cs, parse_derivation, theorem_conj_monotone,
+    graded_weakening, parse_cs, parse_derivation, split_cs_layer, strip_cs_chain,
+    theorem_conj_monotone,
     theorem_exchange, theorem_implication_weak_intro, theorem_prelinearity,
     theorem_strong_to_weak, theorem_unit, theorem_weak_projection,
     theorem_weakening,
 )
 from fjl.syntax import (
-    App, Const, GradedExact, Implies, Prop, StrongConj, TruthConst, Var,
-    expand_sugar, print_formula, print_many, print_term,
+    App, Const, GradedAtLeast, GradedExact, Implies, Justified, ONE, Prop, StrongConj,
+    TruthConst, VERUM, Var, expand_sugar, print_formula, print_many, print_term,
 )
 
 RPLJ = LogicConfig.from_name("RPLJ")
@@ -236,15 +241,50 @@ def test_bl_theorem_derivations_check(key):
 
 @pytest.mark.parametrize("key", sorted(GRADED_THEOREMS))
 def test_graded_theorem_derivations_check(key):
-    name, fn = GRADED_THEOREMS[key]
-    if key in (1, 2, 6, 7):
-        d = fn(t, p)
-    elif key in (3, 4, 8):
-        d = fn(t, p, Fraction(1, 3))
-    else:
-        d = fn(t, p, Fraction(1, 3), Fraction(2, 3))
+    name, fn, arity = GRADED_THEOREMS[key]
+    assert arity == len(inspect.signature(fn).parameters)
+    d = fn(*[t, p, Fraction(1, 3), Fraction(2, 3)][:arity])
     report = check_derivation(d, RPLJ, TotalCS())
     assert report.ok, f"{name}: {report.summary()}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text("abcxyz019_", min_size=1, max_size=3).map("c".__add__),
+                min_size=1, max_size=4),
+       formulas, unit_rationals().filter(lambda r: r != ONE),
+       terms.filter(lambda u: not isinstance(u, Const)))
+def test_graded_layer_recognises_exactly_the_expansion_of_its_sugar(names, body, grade, term):
+    """``_split_graded_layer`` reads c:{==1}A's primitive form by hand; it
+    must agree with ``expand_sugar`` and take nothing near it."""
+    c = names[0]
+    layer = expand_sugar(GradedExact(ONE, Const(c), body))
+    assert split_cs_layer(layer, True) == (c, expand_sugar(body))
+    chain = body
+    for name in reversed(names):
+        chain = GradedExact(ONE, Const(name), chain)
+    inner, core = strip_cs_chain(expand_sugar(body), True)
+    assert strip_cs_chain(expand_sugar(chain), True) == (names + inner, core)
+    for near in (GradedExact(Fraction(1, 2), Const(c), body), GradedExact(grade, Const(c), body),
+                 GradedExact(ONE, Var("x"), body), GradedExact(ONE, term, body)):
+        assert split_cs_layer(expand_sugar(near), True) is None
+    assert split_cs_layer(StrongConj(layer.right, layer.left), True) is None
+    # the layer read slot by slot, as the hand check reads it: the slots
+    # below rebuild it, and a change in any one slot is a near miss
+    j = Justified(Const(c), expand_sugar(body))
+    slots = dict(conj=StrongConj, imp=Implies, g=VERUM, j=j, outer=Implies, repeat=None,
+                 inner=Implies, j2=None, g2=VERUM)
+
+    def form(conj, imp, g, j, outer, repeat, inner, j2, g2):
+        left = imp(g, j)     # (g -> j) & ((g -> j) -> (j2 -> g2))
+        return conj(left, outer(repeat or left, inner(j2 or j, g2)))
+
+    assert form(**slots) is layer
+    other = Justified(Const(c + "'"), j.body)
+    changes = dict(conj=Implies, imp=StrongConj, g=TruthConst(grade),
+                   j=GradedAtLeast(ONE, Const(c), j.body), outer=StrongConj,
+                   repeat=Implies(VERUM, other), inner=StrongConj, j2=other, g2=TruthConst(grade))
+    for slot, change in changes.items():
+        assert split_cs_layer(form(**dict(slots, **{slot: change})), True) is None, slot
 
 
 def test_graded_weakening_rejects_inverted_grades():

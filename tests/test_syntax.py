@@ -15,7 +15,7 @@ from fjl.parser import parse_formula
 from fjl.syntax import (
     App, BiImpl, Const, Equiv, FALSUM, GradedAtLeast, GradedAtMost, GradedExact,
     Implies, Justified, Neg, Prop, StrongConj, Sum, TruthConst, VERUM, Var,
-    WeakConj, WeakDisj, expand_sugar, is_primitive, print_formula, print_term,
+    WeakConj, WeakDisj, expand_sugar, print_formula, print_term, subformulas,
     term_dag_size,
 )
 
@@ -108,7 +108,8 @@ def test_expand_idempotent(f):
 
 @given(formulas)
 def test_expand_is_primitive(f):
-    assert is_primitive(expand_sugar(f))
+    primitive = (Prop, TruthConst, StrongConj, Implies, Justified)
+    assert all(isinstance(g, primitive) for g in subformulas(expand_sugar(f)))
 
 
 def _naive_expansion(f):

@@ -30,18 +30,42 @@ constructors of :mod:`fjl.syntax`, which intern every node, so equal
 subformulas are one object, within one text and across texts.
 
 The calls of one ``formula_reader`` share a group table (a packrat memo,
-Ford 2002); ``parse_formula`` is a one-shot reader.  Before a text with
-a ``(`` is parsed, one pass over its tokens gives each matched ``(`` a
-*group id*, interned from the tuple of the group's top-level tokens with
-each inner group replaced by its id, so equal groups of any of the
-reader's texts share one id and the table holds O(tokens) references.
-When a parenthesised formula closes, its node is stored under its id
-with its length in tokens.  At a ``(`` whose id is stored, the parser
-takes the node and jumps past the ``)`` unless the token after the
-``)`` is one of ``:``, ``.`` and ``+``: then the group may start a
-term, as in ``(p):q`` or ``(x).y:p``.  A shared table never changes a
-result: each text gives the node, or the error class and position, a
-fresh parse gives.
+Ford 2002) and a text table; ``parse_formula`` uses neither.  Before a
+text with a ``(`` is parsed, one pass over its tokens gives each matched
+``(`` a *group id*, interned from the tuple of the group's top-level
+tokens with each inner group replaced by its id, so equal groups of any
+of the reader's texts share one id and the table holds O(tokens)
+references.  When a parenthesised formula closes, its node is stored
+under its id with its length in tokens.  At a ``(`` whose id is stored,
+the parser takes the node and jumps past the ``)`` unless the token
+after the ``)`` is one of ``:``, ``.`` and ``+``: then the group may
+start a term, as in ``(p):q`` or ``(x).y:p``.
+
+The text table serves the lines of a derivation file, which repeat each
+other by construction.  It maps each text the reader has parsed to its
+node and, when that node is an implication, the text of its consequent
+(what follows the top-level ``->``) to the consequent's node.  A text
+served from the table adds its own consequent, so chains of modus
+ponens steps hit.  A text in the table is not lexed.  Before a new text
+is lexed, each group ``(T)`` whose ``T`` is in the table becomes a
+*hole*: one token that stands for ``T``'s node.  ``T`` is found by its
+first ``_KEY`` characters among at most ``_CANDIDATES`` known texts and
+checked with ``startswith``.  A group that may belong to a term is left
+as it is: ``:``, ``.`` or ``+`` follows its ``)``, or ``.`` or ``+``
+precedes its ``(``.  The parser records the top-level ``->`` tokens as
+it shifts them; the consequent's offset comes from those.
+
+Neither table changes a result: each text gives the node, or the error
+class and position, a fresh parse gives.  Equal text under one config
+gives an equal parse.  A top-level ``Implies`` has no top-level ``==``
+or ``<->``, so its right-associative consequent runs from the first
+top-level ``->`` to the end and parses alone to the same node.  A ``T``
+that parsed is balanced, so ``(T)`` is exactly one group, whose node is
+``T``'s.  A hole is never a term: where the group belonged to a term,
+a ``:``, ``.`` or ``+`` is left after a formula and the parse fails.  A
+collapsed text that fails is parsed again whole, for the error a fresh
+parse gives.  ``$`` is a lexical error in an input, and a text holding
+one is parsed whole, so no input can write a hole.
 """
 
 from __future__ import annotations
@@ -86,6 +110,12 @@ _SYMBOL = r"\{>=|\{<=|\{==|<->|->|/\\|\\/|==|[#&~:().+/}]"
 #: A symbol, a run of the decimal digits ``int`` reads, or a word.
 _TOKEN = re.compile(_SYMBOL + r"|\d+|\w+")
 _LEXED = re.compile(rf"(?:\s+|{_SYMBOL}|\d+|\w+)*")
+#: A hole is a number between two ``$``, one token that stands for a
+#: known text's node in a collapsed text.  ``$`` is a lexical error in an
+#: input, and off ``_lex``'s fast path (a tab, a non-ASCII character) in
+#: a collapsed text too, which is then parsed whole.
+_HOLE = "$"
+_HOLED_TOKEN = re.compile(r"\$\d+\$|" + _TOKEN.pattern)
 EOF = ""
 
 #: Precedence, loosest first, and class of each binary connective.
@@ -97,20 +127,27 @@ _GRADES = {"{>=": GradedAtLeast, "{<=": GradedAtMost, "{==": GradedExact}
 # args) and (_BIN, precedence, class, left).
 _BOTTOM, _GROUP, _PREFIX, _BIN = range(4)
 _PARENS = frozenset("()")
-#: Tokens after a group's ")" that may make the group part of a term.
+#: Tokens after a group's ")", or before its "(", that may make the
+#: group part of a term.
 _TERM_FOLLOW = frozenset(":.+")
+_TERM_PRECEDE = frozenset(".+")
+#: Known texts are indexed by their first ``_KEY`` characters; each "("
+#: tries the latest ``_CANDIDATES`` known texts with its next ones.
+_KEY = 6
+_CANDIDATES = 4
 
 
-def tokenize(text: str) -> list[str]:
-    """The token texts of ``text``, then ``EOF``.  A word starts with a
-    letter or ``_`` and goes on with letters, digits and ``_``."""
-    tokens = _TOKEN.findall(text)
+def _lex(text: str, token: re.Pattern) -> list[str]:
+    """The texts of the ``token`` matches that make up ``text``, then
+    ``EOF``.  A word starts with a letter or ``_`` and goes on with
+    letters, digits and ``_``."""
+    tokens = token.findall(text)
     # Fast path: ASCII, and every character lies in a token or is a space.
     if not (text.isascii() and sum(map(len, tokens)) + text.count(" ") == len(text)):
         end = _LEXED.match(text).end()
         if not text.isascii():
             # \w holds digits int() rejects, such as '²'; none may start a token.
-            for m in _TOKEN.finditer(text, 0, end):
+            for m in token.finditer(text, 0, end):
                 c = text[m.start()]
                 if c.isalnum() and not (c.isalpha() or c.isdecimal()):
                     end = m.start()
@@ -147,10 +184,14 @@ def _group_ids(tokens: list, ids: dict) -> dict:
 
 
 class _Parser:
-    def __init__(self, text: str, config):
-        self.text, self.config, self.tokens = text, config, tokenize(text)
+    def __init__(self, text: str, config, holes: dict = None):
+        """``holes`` maps each hole token ``text`` may hold to its node."""
+        self.text, self.config, self.holes = text, config, holes
+        self.tokens = _lex(text, _TOKEN if holes is None else _HOLED_TOKEN)
         #: "(" index -> (its term, index after the term), or (None, "(" index).
         self.groups: dict = {}
+        #: Once parsed to an implication, the indices of its top-level "->"s.
+        self.arrows: list = []
 
     def error(self, message: str, i: int, cls=ParseError) -> ParseError:
         """``cls`` at the position of token ``i``."""
@@ -228,7 +269,7 @@ class _Parser:
         """The formula that makes up the whole input.  ``ids`` and ``memo``
         are the group table: group ids, and group id -> (its formula, its
         length in tokens)."""
-        tokens = self.tokens
+        tokens, arrows = self.tokens, self.arrows
         gids = _group_ids(tokens, ids) if "(" in self.text else {}
         stack, frame, i = [(_BOTTOM,)], None, 0
         while True:
@@ -266,6 +307,8 @@ class _Parser:
                     frame = (_GROUP, i)
                     continue
                 f, i = Prop(tok), i + 1
+            elif tok[:1] == _HOLE:
+                f, i = self.holes[tok], i + 1
             else:
                 raise self.expected("a formula", i)
             # ``f`` is complete: apply prefixes, take a connective or close a group.
@@ -282,6 +325,10 @@ class _Parser:
                     _, _, cls, left = stack.pop()
                     f = cls(left, f)
                 if op is not None:
+                    # Outside every group, and with no "==" or "<->" before, the
+                    # stack holds the bottom and the earlier such "->"s.
+                    if prec == 2 and len(stack) == len(arrows) + 1:
+                        arrows.append(i)
                     frame = (_BIN, prec, op[1], f)
                     continue
                 group = stack.pop()
@@ -295,21 +342,137 @@ class _Parser:
                 memo[gids[start]] = (f, i + 1 - start)
                 i += 1
 
+    def arrow_offsets(self) -> list:
+        """The character offsets of the tokens ``self.arrows`` indexes.
+        Each "->" and "<->" token holds one "->" of the text, in order."""
+        tokens, text = self.tokens, self.text
+        offsets, at, done = [], -1, 0
+        for a in self.arrows:
+            before = tokens[done:a + 1]
+            for _ in range(before.count("->") + before.count("<->")):
+                at = text.find("->", at + 1)
+            offsets.append(at)
+            done = a + 1
+        return offsets
+
+
+def _in_term(text: str, open_: int, close: int) -> bool:
+    """Whether the group from ``text[open_]`` to ``text[close]`` may be
+    part of a term: the next non-space character after it is one of
+    ``:.+``, or the last one before it is ``.`` or ``+``."""
+    k = close + 1
+    while text[k:k + 1].isspace():
+        k += 1
+    if text[k:k + 1] in _TERM_FOLLOW:
+        return True
+    k = open_ - 1
+    while k >= 0 and text[k].isspace():
+        k -= 1
+    return k >= 0 and text[k] in _TERM_PRECEDE
+
+
+class _Reader:
+    """What ``formula_reader`` returns.  Beside the group table it keeps a
+    text table: each known text's entry is ``(node, line, arrows, k)``,
+    where ``arrows`` are the offsets of the top-level "->"s of the
+    ``line`` read, and the text is ``line`` itself (``k == 0``) or what
+    follows its ``k``-th top-level "->"."""
+
+    def __init__(self, config):
+        self.config = config
+        self.ids: dict = {}
+        self.memo: dict = {}
+        self.known: dict = {}
+        #: First ``_KEY`` characters -> the latest known (text, hole) pairs.
+        self.starts: dict = {}
+        #: Hole token -> the node of the known text it stands for.
+        self.holes: dict = {}
+
+    def __call__(self, text: str) -> Formula:
+        entry = self.known.get(text)
+        if entry is None:
+            entry = self._parse(text)
+            self._know(text, entry)
+        node, line, arrows, k = entry
+        if k < len(arrows):     # node is an implication: know its consequent
+            consequent = line[arrows[k] + 2:].strip()
+            if consequent not in self.known:
+                self._know(consequent, (node.right, line, arrows, k + 1))
+        return node
+
+    def _know(self, text: str, entry: tuple) -> None:
+        self.known[text] = entry
+        if len(text) >= _KEY:
+            hole = f"{_HOLE}{len(self.holes)}{_HOLE}"
+            self.holes[hole] = entry[0]
+            latest = self.starts.setdefault(text[:_KEY], [])
+            latest.append((text, hole))
+            if len(latest) > _CANDIDATES:
+                del latest[0]
+
+    def _parse(self, text: str) -> tuple:
+        """The entry of ``text``, read through its collapsed text when that
+        parses, else whole, for the error a fresh parse gives."""
+        p = None
+        if "(" in text and _HOLE not in text:
+            ctext, shifts = self._collapse(text)
+            if shifts:
+                try:
+                    p = _Parser(ctext, self.config, self.holes)
+                    node = p.formula(self.ids, self.memo)
+                except ParseError:
+                    p = None
+        if p is None:
+            p, shifts = _Parser(text, self.config), []
+            node = p.formula(self.ids, self.memo)
+        arrows = _unshift(p.arrow_offsets(), shifts) if node.__class__ is Implies else []
+        return node, text, arrows, 0
+
+    def _collapse(self, text: str) -> tuple:
+        """``text`` with each group ``(T)`` whose ``T`` is known and that
+        is not next to a term replaced by ``T``'s hole, and per hole the
+        length of the result up to its end and how much shorter the
+        result is than ``text`` up to there."""
+        pieces, shifts, done, length = [], [], 0, 0
+        j = text.find("(")
+        while j >= 0:
+            start = j + 1
+            for t, hole in self.starts.get(text[start:start + _KEY], ()):
+                close = start + len(t)
+                if (text.startswith(")", close) and text.startswith(t, start)
+                        and not _in_term(text, j, close)):
+                    pieces += (text[done:j], hole)
+                    length += j - done + len(hole)
+                    done = start = close + 1
+                    shifts.append((length, done - length))
+                    break
+            j = text.find("(", start)
+        pieces.append(text[done:])
+        return "".join(pieces), shifts
+
+
+def _unshift(offsets: list, shifts: list) -> list:
+    """``offsets`` in a collapsed text as offsets in the text it came from."""
+    out, k, delta = [], 0, 0
+    for at in offsets:
+        while k < len(shifts) and shifts[k][0] <= at:
+            delta = shifts[k][1]
+            k += 1
+        out.append(at + delta)
+    return out
+
 
 def formula_reader(config=None):
     """A function that parses one text as ``parse_formula(text, config)``
-    does; its calls share one group table, so a group met again, in the
-    same text or a later one, is not parsed again.  The table lives as
-    long as the function: make one per file."""
-    ids: dict = {}
-    memo: dict = {}
-    return lambda text: _Parser(text, config).formula(ids, memo)
+    does, with a group table and a text table shared by its calls.  The
+    tables live as long as the function: make one per file."""
+    return _Reader(config)
 
 
 def parse_formula(text: str, config=None) -> Formula:
     """Parse ``text``; ``config`` gates graded truth constants (None allows
     them)."""
-    return formula_reader(config)(text)
+    return _Parser(text, config).formula({}, {})
 
 
 def parse_term(text: str) -> Term:

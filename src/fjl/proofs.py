@@ -176,7 +176,6 @@ class TotalCS:
 
     def __init__(self):
         self._assigned: dict = {}
-        self._formulas: dict = {}
         self._counter = 0
         self._lock = threading.Lock()
 
@@ -197,14 +196,7 @@ class TotalCS:
                 self._counter += 1
                 name = f"c_{self._counter}"
                 self._assigned[key] = name
-                self._formulas[name] = key
             return name
-
-    def formula_for(self, constant: str) -> Formula:
-        """The expanded formula ``constant_for`` assigned ``constant``;
-        ``KeyError`` if it assigned it none."""
-        with self._lock:
-            return self._formulas[constant]
 
 
 ConstantSpecification = Union[FiniteCS, TotalCS]
@@ -902,15 +894,22 @@ def _formula(read, text: str, lineno: int) -> Formula:
         raise exc.within(f"line {lineno}") from None
 
 
+def _comment(line: str) -> bool:
+    """Whether a stripped file line is a comment: it starts with ``#``
+    and no digit follows, as one would in a truth constant such as ``#1/2``."""
+    return line[:1] == "#" and not line[1:2].isdecimal()
+
+
 def parse_derivation(text: str, config: Optional[LogicConfig] = None) -> Derivation:
     """The derivation a derivation file describes.  Its formulas share one
-    reader, so a group repeated across lines is parsed once."""
+    reader, so a line, consequent or group repeated across lines is parsed
+    once."""
     read = formula_reader(config)
     hypotheses: list = []
     steps: list = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or _comment(line):
             continue
         if line.startswith("HYP "):
             if steps:
@@ -953,11 +952,11 @@ def parse_derivation(text: str, config: Optional[LogicConfig] = None) -> Derivat
 
 
 def parse_cs(text: str, config: Optional[LogicConfig] = None) -> FiniteCS:
-    """One entry formula per line; blank lines and # comments ignored."""
+    """One entry formula per line; blank lines and comments ignored."""
     read = formula_reader(config)
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if line and not line.startswith("#"):
+        if line and not _comment(line):
             entries.append(_formula(read, line, lineno))
     return FiniteCS(entries)

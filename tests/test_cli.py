@@ -162,6 +162,11 @@ def test_check_cs_command(capsys, tmp_path):
     bad = tmp_path / "bad_cs.txt"
     bad.write_text("c2:c1:((p & q) -> p)\n")
     assert main(["check-cs", "--logic", "BLJ", str(bad)]) == 1
+    # "#" and a digit start a truth constant, so this line is an entry, not a comment
+    constant = tmp_path / "constant_cs.txt"
+    constant.write_text("c1:{==1}(#0 -> p)\n#1/2 -> c1:p\n")
+    assert main(["check-cs", "--logic", "RPLJ", str(constant)]) == 1
+    assert "#1/2 -> c1:p" in capsys.readouterr().out
 
 
 def test_an_ill_formed_cs_file_is_an_input_error(capsys, tmp_path):
@@ -469,8 +474,9 @@ CS_TEXTS = st.builds(_cs_text, st.integers(0, 10**6), st.sampled_from([RPLJ, BLJ
 
 def _citing(cs_text, rule):
     """A derivation file citing each entry of ``cs_text`` by ``rule``; as in
-    ``parse_cs``, a line starting with # is a comment, not an entry."""
-    entries = [line for line in cs_text.splitlines() if not line.startswith("#")]
+    ``parse_cs``, a line starting with # and no digit is a comment, not an entry."""
+    entries = [line for line in cs_text.splitlines()
+               if not (line.startswith("#") and not line[1:2].isdecimal())]
     return "".join(f"STEP {i} {line} BY {rule}\n" for i, line in enumerate(entries, start=1))
 
 

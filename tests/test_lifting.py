@@ -278,7 +278,7 @@ def test_off_cone_steps_take_no_constant_and_no_variable_name():
     cs = TotalCS()
     term, lifted = lift(d, cs, RPLJ)
     assert term == App(Const("c_1"), Var("x1"))
-    assert cs.formula_for("c_1") is expand_sugar(axiom)
+    assert cs.constant_for(axiom) == "c_1"
     assert format_derivation(lifted) == format_derivation(lift(_cone(d), TotalCS())[1])
     assert check_derivation(lifted, RPLJ, cs).ok
 
@@ -287,10 +287,13 @@ def test_off_cone_steps_take_no_constant_and_no_variable_name():
 # Term-level oracle: what the lifted term justifies, computed from the
 # term alone, independently of the builder and the output derivation.
 
-def _justified_by(term, lifted, cs):
+def _justified_by(term, d, lifted, cs):
     """For each subterm, the expanded formulas it justifies: x_i the i-th
-    hypothesis, a constant the formula the specification assigned it,
-    s.t every B with A -> B from s and A from t."""
+    hypothesis, a constant the AX or GIAN formula of the input ``d`` that
+    the specification assigned it, s.t every B with A -> B from s and A
+    from t."""
+    constants = {cs.constant_for(s.formula): expand_sugar(s.formula)
+                 for s in d.steps if isinstance(s.rule, (Ax, Gian))}
     variables = {}
     for h in lifted.hypotheses:
         # expand(x:{==1}A) is (#1 -> x:A) & ((#1 -> x:A) -> (x:A -> #1))
@@ -301,7 +304,7 @@ def _justified_by(term, lifted, cs):
         if isinstance(s, Var):
             formulas[s] = {variables[s]}
         elif isinstance(s, Const):
-            formulas[s] = {expand_sugar(cs.formula_for(s.name))}
+            formulas[s] = {constants[s.name]}
         elif isinstance(s, App):
             antecedents = formulas[s.right]
             formulas[s] = {f.right for f in formulas[s.left]
@@ -321,6 +324,6 @@ def test_lifted_term_justifies_the_conclusion():
     for d in inputs:
         cs = fresh_cs()
         term, lifted = lift(d, cs, RPLJ)
-        assert expand_sugar(d.conclusion) in _justified_by(term, lifted, cs)
+        assert expand_sugar(d.conclusion) in _justified_by(term, d, lifted, cs)
         with_app += isinstance(term, App)
     assert with_app >= 5

@@ -10,6 +10,7 @@ they start.
 """
 
 import random
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -237,3 +238,151 @@ def test_shared_reader_under_deep_prefixes(first, group, prefix):
     texts = [text.format(g=group) for text in first]
     texts += [prefix * DEEP + group, prefix + "((((x)))):p"]
     assert not any(isinstance(got, tuple) for got in assert_reader_agrees(texts))
+
+
+# ---------------------------------------------------------------------------
+# The text table: a known text, its consequent, or a parenthesised known
+# text is served from the table, and still gives what a fresh parse gives.
+
+#: A line whose consequent is an implication, with a graded constant.
+LINE = "(p -> q) & s:(p -> q) -> t:{>=1/2}r -> #1/2 -> q"
+CONSEQUENT = "t:{>=1/2}r -> #1/2 -> q"
+#: A line that is a proposition, so that "(TERMISH)" can also be a term.
+TERMISH = "x_long"
+
+
+def _wrapped(t):
+    """Texts holding ``(t)``: under prefixes, in or next to a term
+    position, and with extra spaces."""
+    return [
+        f"~({t})", f"s:({t})", f"s:{{>=1/2}}({t})", f"({t}) -> ({t})", f"~~(({t}))",
+        f"({t}):p", f"({t}).x:p", f"x.({t}):p", f"(({t})).x:p", f"({t}) + x:p",
+        f"({t})  :p", f"x .  ({t}):p", f"(({t}) + x):p", f"(x + ({t})):p",
+        f"  ({t})   ->  p ", f"( {t} ) -> p", f"~ ( {t})", f"({t})(p)", f"({t})1",
+    ]
+
+
+@pytest.mark.parametrize("texts", [
+    [LINE, CONSEQUENT, "#1/2 -> q", "q", CONSEQUENT, LINE, "#1/2 -> q"],
+    [LINE, "#1/2 -> q", CONSEQUENT],
+    [LINE, *_wrapped(LINE), *_wrapped(CONSEQUENT), *_wrapped("#1/2 -> q")],
+    [TERMISH, *_wrapped(TERMISH)],
+    [f"{TERMISH} -> {TERMISH}", *_wrapped(TERMISH), *_wrapped(f"{TERMISH} -> {TERMISH}")],
+    ["p -> q", "(p -> q) -> (q -> p)", "(q -> p)", "q -> p", "~(q -> p)"],
+    ["s:p -> s.s:p", "(s:p -> s.s:p) & (s.s:p)", "s.(s:p -> s.s:p):p"],
+], ids=["consequents", "consequent-of-consequent-first", "wrapped-line",
+        "wrapped-proposition", "wrapped-implication", "grouped-consequent", "terms"])
+@pytest.mark.parametrize("config", [None, BL, RPLJ], ids=["none", "BL", "RPLJ"])
+def test_text_table_agrees(texts, config):
+    assert_reader_agrees(texts, config)
+
+
+def test_text_table_under_BL_still_rejects_graded_constants():
+    outcomes = assert_reader_agrees(
+        ["p -> q", LINE, CONSEQUENT, "~(p -> q) -> #1/2", "((p -> q) & #1/2)"], BL)
+    assert [o[0] for o in outcomes[1:]] == ["ConstantNotAllowedError"] * 4
+
+
+def test_a_hole_cannot_be_written_in_an_input():
+    for text in ["$0$", "~(p_long -> q) & $0$", "$0$:p", "(p_long -> q)$"]:
+        outcomes = assert_reader_agrees(["p_long -> q", text])
+        assert outcomes[1] == ("LexicalError", text.index("$"))
+
+
+def _lexed(monkeypatch, texts, config=None):
+    """The texts a reader lexes while reading ``texts``."""
+    fresh = [parser.parse_formula(text, config) for text in texts]
+    lexed = []
+    lex = parser._lex
+    monkeypatch.setattr(parser, "_lex", lambda text, token: lexed.append(text) or lex(text, token))
+    read = parser.formula_reader(config)
+    assert all(read(text) is f for text, f in zip(texts, fresh))
+    monkeypatch.undo()
+    return lexed
+
+
+def test_known_texts_are_not_lexed_again(monkeypatch):
+    lexed = _lexed(monkeypatch, [LINE, CONSEQUENT, "#1/2 -> q", LINE,
+                                 f"~({LINE})", f"({CONSEQUENT}) -> ({LINE})"])
+    assert lexed == [LINE, "~$0$", "$1$ -> $0$"]
+    # in a term position the group is not replaced, so the text is lexed whole
+    assert _lexed(monkeypatch, [TERMISH, f"({TERMISH}):p", f"~({TERMISH})"]) == \
+        [TERMISH, f"({TERMISH}):p", "~$0$"]
+
+
+def test_a_collapsed_text_that_fails_is_parsed_whole(monkeypatch):
+    lexed = _lexed(monkeypatch, [TERMISH, f"(({TERMISH})):p"])
+    assert lexed == [TERMISH, "($0$):p", f"(({TERMISH})):p"]
+
+
+def test_the_text_table_holds_at_most_a_line_and_a_consequent_per_read():
+    texts = _file_formulas(1)
+    read = parser.formula_reader(RPLJ)
+    for n, text in enumerate(texts + texts, start=1):
+        read(text)
+        assert len(read.known) <= 2 * n
+    assert len(read.known) <= 2 * len(set(texts))
+
+
+def test_a_long_arrow_chain_and_its_consequents_read_in_linear_time():
+    n = DEEP
+    chain = " -> ".join(["p"] * n)
+    read = parser.formula_reader()
+    f = read(chain)
+    for k in range(1, 4):
+        f = f.right
+        assert read(" -> ".join(["p"] * (n - k))) is f
+    assert read(f"({chain}) -> q").left is read(chain)
+
+
+#: Character edits of one line: insert (0), delete (1) or overwrite (2).
+LINE_EDITS = st.tuples(st.integers(0, 2), st.integers(0, 10**6), st.sampled_from(
+    ["(", ")", " ", ":", ".", "+", "~", "x.", "(p)", "#1/2", " -> ", "$", "s:", "{>=1/2}"]))
+
+
+@st.composite
+def edited_files(draw):
+    """A fuzzed derivation file with one step's formula edited by a
+    character edit, or replaced by an earlier step's formula wrapped in
+    parentheses."""
+    lines = list(draw(st.sampled_from(FILE_TEXTS)).splitlines())
+    k = draw(st.integers(0, len(lines) - 1))
+    head, _, by = lines[k].rpartition(" BY ")
+    _, number, formula = head.split(" ", 2)
+    earlier = [line.rpartition(" BY ")[0].split(" ", 2)[2] for line in lines[:k]]
+    if earlier and draw(st.booleans()):
+        a, b = draw(st.sampled_from(earlier)), draw(st.sampled_from(earlier))
+        formula = draw(st.sampled_from([
+            f"~({a})", f"({a}) -> ({b})", f"s:({a})", f"({a}):p", f"(({a})).x:p",
+            f"({a}) & {b}", f"s:{{>=1/2}}({a}) -> {b}"]))
+    else:
+        op, at, piece = draw(LINE_EDITS)
+        at %= len(formula) + 1
+        formula = formula[:at] + (piece if op != 1 else "") + formula[at + (len(piece) if op else 0):]
+    lines[k] = f"STEP {number} {formula} BY {by}"
+    return "\n".join(lines) + "\n"
+
+
+FILE_TEXTS = [proofs.format_derivation(random_derivation(random.Random(seed), RPLJ, proofs.TotalCS()))
+              for seed in (1, 2, 3, 4)]
+
+
+def _derivation_outcome(text, config):
+    try:
+        d = proofs.parse_derivation(text, config)
+    except (parser.ParseError, proofs.ProofError) as exc:
+        return type(exc).__name__, str(exc)
+    return d.hypotheses + tuple(step.formula for step in d.steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edited_files(), st.sampled_from([BL, RPLJ]))
+def test_edited_files_read_as_with_a_fresh_parse_per_line(text, config):
+    got = _derivation_outcome(text, config)
+    with mock.patch.object(proofs, "formula_reader",
+                           lambda config=None: lambda t: parser.parse_formula(t, config)):
+        want = _derivation_outcome(text, config)
+    if isinstance(got[0], str):
+        assert got == want
+    else:
+        assert len(got) == len(want) and all(a is b for a, b in zip(got, want))

@@ -3,10 +3,13 @@ exist in ``fjl``.  Tier-1 does not collect ``perfbench/tests``, so without
 these a deletion that breaks ``perfbench/run.py --trace 1`` would pass."""
 
 import importlib.util
+import itertools
 import sys
 from pathlib import Path
 
 from fjl import logics, proofs
+from fjl.parser import parse_formula
+from fjl.syntax import print_formula
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -36,3 +39,21 @@ def test_wrapped_methods_exist():
     # ``spans.install`` wraps these two in place, beside the public builder methods
     assert callable(logics.Scheme.match)
     assert callable(proofs.DerivationBuilder._emit)
+
+
+def test_check_proof_known_answers_and_step_formulas():
+    """The first 40 ``check-proof`` cases of seed 0: each verdict is the
+    case's known answer, and the file's reader gives every formula a
+    fresh parse of its line gives."""
+    workloads = _load("workloads")
+    api = workloads.plain_api()
+    cases = list(itertools.islice(workloads.check_proof_inputs(api, 0), 40))
+    assert {case.expect for case in cases} == {True, False}
+    for case in cases:
+        assert workloads.check_proof_case(api, case).verdict is case.expect
+        d = proofs.parse_derivation(case.data, workloads.RPLJ)
+        texts = [line.split(" ", 1)[1] if line.startswith("HYP ")
+                 else line.rpartition(" BY ")[0].split(" ", 2)[2]
+                 for line in case.data.splitlines()]
+        fresh = [print_formula(parse_formula(text, workloads.RPLJ)) for text in texts]
+        assert [print_formula(f) for f in d.hypotheses + tuple(s.formula for s in d.steps)] == fresh

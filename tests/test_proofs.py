@@ -164,11 +164,10 @@ def test_total_cs_membership_and_constants():
     assert not cs.contains(body, RPLJ)
     name1 = cs.constant_for(body)
     assert name1 == cs.constant_for(body)
-    assert name1 != cs.constant_for(parse_formula("(q & p) -> q"))
-    assert name1.startswith("c")
-    assert cs.formula_for(name1) is expand_sugar(body)
-    with pytest.raises(KeyError):
-        cs.formula_for("c_999")
+    assert name1 == cs.constant_for(expand_sugar(body))
+    name2 = cs.constant_for(parse_formula("(q & p) -> q"))
+    assert name1 != name2
+    assert (name1, name2) == ("c_1", "c_2")
 
 
 def _builder(*premises: str):
@@ -495,6 +494,16 @@ def test_cs_file_parsing():
     cs = parse_cs("# comment\nc1:((p & q) -> p)\n\n", BLJ)
     assert check_cs(cs, BLJ).ok
     assert cs.covers("c1", expand_sugar(parse_formula("(p & q) -> p")), BLJ)
+
+
+def test_a_line_starting_with_a_truth_constant_is_an_entry_not_a_comment():
+    text = "c1:{==1}(#0 -> p)\n#1/2 -> c1:p\n# 1/2 is a comment\n#comment\n"
+    cs = parse_cs(text, RPLJ)
+    assert cs.entries == (parse_formula("c1:{==1}(#0 -> p)"), parse_formula("#1/2 -> c1:p"))
+    report = check_cs(cs, RPLJ)
+    assert not report.ok and any("#1/2 -> c1:p" in problem for problem in report.problems)
+    with pytest.raises(ProofError, match="line 1: expected HYP or STEP"):
+        parse_derivation("#0 -> p\nSTEP 1 p BY HYP 1\n")
 
 
 def test_builder_rejects_bad_axiom():

@@ -16,7 +16,7 @@ structurally equal exactly when they are one object.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -24,7 +24,8 @@ from .logics import Base, LogicConfig, axiom_instance_of, schemes_by_tag
 from .parser import ParseError, formula_reader
 from .syntax import (
     App, Const, FALSUM, Formula, GradedExact, Implies, Justified, ONE,
-    StrongConj, Sum, Term, TruthConst, VERUM, expand_sugar, print_formula, print_many,
+    StrongConj, Sum, Term, TruthConst, VERUM, exact_expansion, expand_sugar, print_formula,
+    print_many,
 )
 from .tnorms import luka_tnorm
 
@@ -103,33 +104,26 @@ class ProofReport:
 # ---------------------------------------------------------------------------
 # Constant specifications
 
-def _split_plain_layer(f: Formula):
-    if isinstance(f, Justified) and isinstance(f.term, Const):
-        return f.term.name, f.body
-    return None
-
-
-def _split_graded_layer(f: Formula):
-    """Recognise c:{==1}B either as sugar or in primitive normal form."""
-    if isinstance(f, GradedExact) and f.grade == ONE and isinstance(f.term, Const):
-        return f.term.name, f.body
-    if (isinstance(f, StrongConj)
-            and isinstance(f.left, Implies)
-            and f.left.left == VERUM
-            and isinstance(f.left.right, Justified)
-            and isinstance(f.left.right.term, Const)
-            and isinstance(f.right, Implies)
-            and f.right.left == f.left
-            and isinstance(f.right.right, Implies)
-            and f.right.right.left == f.left.right
-            and f.right.right.right == VERUM):
-        justified = f.left.right
-        return justified.term.name, justified.body
-    return None
+def _introduced(f: Formula, graded: bool) -> Optional[Justified]:
+    """The ``t:B``, for any term ``t``, whose constant-introduction layer
+    (``t:{==1}B`` when ``graded``, else ``t:B``) expands to the expanded
+    ``f``, or None.  ``t:B`` can only stand in ``f`` or in ``f.left.right``."""
+    j = f.left.right if graded and isinstance(f, StrongConj) and isinstance(f.left, Implies) else f
+    if not isinstance(j, Justified):
+        return None
+    body = expand_sugar(j.body)
+    layer = exact_expansion(ONE, j.term, body) if graded else Justified(j.term, body)
+    return j if layer is f else None
 
 
 def split_cs_layer(f: Formula, graded: bool):
-    return _split_graded_layer(f) if graded else _split_plain_layer(f)
+    """``(c, B)`` when ``f`` is the layer of ``c:B`` for a constant ``c``,
+    else None.  ``f`` must be expanded: a layer written with sugar, such as
+    ``c:{==1}B`` or ``c:{>=1}B /\\ c:{<=1}B``, splits after :func:`expand_sugar`."""
+    j = _introduced(f, graded)
+    if j is not None and isinstance(j.term, Const):
+        return j.term.name, j.body
+    return None
 
 
 def strip_cs_chain(f: Formula, graded: bool) -> tuple[list, Formula]:
@@ -180,8 +174,8 @@ class TotalCS:
         self._lock = threading.Lock()
 
     def contains(self, f: Formula, config: LogicConfig) -> bool:
-        constants, body = strip_cs_chain(expand_sugar(f), config.graded_necessitation)
-        return bool(constants) and axiom_instance_of(body, config) is not None
+        layer = split_cs_layer(expand_sugar(f), config.graded_necessitation)
+        return layer is not None and self.covers(*layer, config)
 
     def covers(self, constant: str, body: Formula, config: LogicConfig) -> bool:
         _, inner = strip_cs_chain(expand_sugar(body), config.graded_necessitation)
@@ -216,22 +210,25 @@ class CSReport:
 
 
 def check_cs(cs: ConstantSpecification, config: LogicConfig) -> CSReport:
-    """Downward closure and axiom-instance bodies, for finite specifications."""
+    """Downward closure and axiom-instance bodies, for finite specifications.
+    Entries are read expanded, so a verdict does not depend on how an
+    entry is spelled; each problem starts with the entry as written."""
     if isinstance(cs, TotalCS):
         return CSReport(ok=True)
     problems = []
     graded = config.graded_necessitation
     for entry in cs.entries:
-        constants, body = strip_cs_chain(entry, graded)
+        constants, body = strip_cs_chain(expand_sugar(entry), graded)
         if not constants:
             problems.append(f"{print_formula(entry)}: not a constant-justification chain")
             continue
         if axiom_instance_of(body, config) is None:
             problems.append(f"{print_formula(entry)}: innermost body "
                             f"{print_formula(body)} is not an axiom instance")
-        layer = split_cs_layer(entry, graded)
-        tail = layer[1]
-        if split_cs_layer(tail, graded) is not None and not cs.contains(tail, config):
+        tail = body         # the chain below the top layer, written as layers
+        for constant in reversed(constants[1:]):
+            tail = cs_entry(constant, tail, graded)
+        if len(constants) > 1 and not cs.contains(tail, config):
             problems.append(f"{print_formula(entry)}: tail {print_formula(tail)} "
                             f"missing (downward closure)")
     return CSReport(ok=not problems, problems=problems)
@@ -283,15 +280,10 @@ def check_derivation(d: Derivation, config: LogicConfig,
                 return fail(f"MP antecedent (step {i + 1}) does not match the implication")
             if imp.right != f:
                 return fail("MP conclusion differs from the implication's consequent")
-        elif isinstance(rule, Ian):
-            if not config.justified or config.graded_necessitation:
-                return fail(f"rule IAN is not available in {config.name}")
-            if not cs.contains(step.formula, config):
-                return fail("formula is not in the constant specification")
-        elif isinstance(rule, Gian):
-            if not config.graded_necessitation:
-                return fail(f"rule GIAN is not available in {config.name}")
-            if not cs.contains(step.formula, config):
+        elif isinstance(rule, (Ian, Gian)):
+            if not config.justified or isinstance(rule, Gian) != config.graded_necessitation:
+                return fail(f"rule {_RULE_WORDS[type(rule)]} is not available in {config.name}")
+            if not cs.contains(f, config):
                 return fail("formula is not in the constant specification")
         else:
             return fail(f"unknown rule {rule!r}")
@@ -642,11 +634,9 @@ class DerivationBuilder:
     def graded_from_exact_one(self, i: int) -> int:
         """From t:{==1}A conclude #1 -> t:A."""
         q = self.formula(i)
-        layer = _split_graded_layer(q)
-        if layer is None and not (isinstance(q, StrongConj) and isinstance(q.left, Implies)):
+        if _introduced(q, graded=True) is None:
             raise ShapeError("premise is not an exact-grade-1 assertion")
-        p = q.left
-        bl2 = self.axiom("BL2", Implies(q, p))
+        bl2 = self.axiom("BL2", Implies(q, q.left))
         return self.mp(i, bl2)
 
 
@@ -809,11 +799,9 @@ def graded_weakening(t: Term, a: Formula, r: Fraction, r2: Fraction) -> Derivati
 def graded_exact_one_equivalence(t: Term, a: Formula) -> Derivation:
     """(t:{>=1}a) == (t:{==1}a)."""
     b = _rpl_builder()
-    j = Justified(t, expand_sugar(a))
-    p, y = Implies(VERUM, j), Implies(j, VERUM)
-    q = StrongConj(p, Implies(p, y))
+    q = expand_sugar(GradedExact(ONE, t, a))
     d5 = b.th_exact_one_intro(t, a)
-    d6 = b.axiom("BL2", Implies(q, p))
+    d6 = b.axiom("BL2", Implies(q, q.left))
     b.conj_pair(d5, d6)
     return b.build()
 
@@ -821,11 +809,9 @@ def graded_exact_one_equivalence(t: Term, a: Formula) -> Derivation:
 def graded_exact_one_unwrap(t: Term, a: Formula) -> Derivation:
     """(t:{==1}a) -> t:a."""
     b = _rpl_builder()
-    j = Justified(t, expand_sugar(a))
-    p, y = Implies(VERUM, j), Implies(j, VERUM)
-    q = StrongConj(p, Implies(p, y))
-    d6 = b.axiom("BL2", Implies(q, p))
-    e2 = b.th_exchange(q, VERUM, j)
+    q = expand_sugar(GradedExact(ONE, t, a))
+    d6 = b.axiom("BL2", Implies(q, q.left))
+    e2 = b.th_exchange(q, VERUM, q.left.right)
     e3 = b.mp(d6, e2)
     b.mp(b.th_verum(), e3)
     return b.build()
@@ -854,29 +840,23 @@ GRADED_THEOREMS = {
 # ---------------------------------------------------------------------------
 # Line-oriented derivation files
 
-#: The rule words of a STEP line, with the number of words each takes.
-_RULE_ARITY = {"AX": 1, "HYP": 1, "MP": 2, "IAN": 0, "GIAN": 0}
+#: The word of each rule in a STEP line.  The rule's fields follow it in
+#: order: a scheme name as written, a step index as a 1-based number.
+_RULE_WORDS = {Ax: "AX", Hyp: "HYP", MP: "MP", Ian: "IAN", Gian: "GIAN"}
+_RULES = {word: rule for rule, word in _RULE_WORDS.items()}
 
 
 def format_derivation(d: Derivation) -> str:
     """The derivation file of ``d``; all formulas are printed in one
     shared walk, so a subformula common to many steps is rendered once."""
     texts = print_many(list(d.hypotheses) + [step.formula for step in d.steps])
-    lines = [f"HYP {text}" for text in texts[:len(d.hypotheses)]]
+    lines = [f"HYP {text}\n" for text in texts[:len(d.hypotheses)]]
     for idx, (step, text) in enumerate(zip(d.steps, texts[len(d.hypotheses):]), start=1):
-        rule = step.rule
-        if isinstance(rule, Ax):
-            by = f"AX {rule.scheme}"
-        elif isinstance(rule, Hyp):
-            by = f"HYP {rule.index + 1}"
-        elif isinstance(rule, MP):
-            by = f"MP {rule.antecedent + 1} {rule.implication + 1}"
-        elif isinstance(rule, Ian):
-            by = "IAN"
-        else:
-            by = "GIAN"
-        lines.append(f"STEP {idx} {text} BY {by}")
-    return "\n".join(lines) + "\n"
+        by = _RULE_WORDS[type(step.rule)]
+        for value in vars(step.rule).values():      # the fields, in order
+            by += f" {value}" if type(value) is str else f" {value + 1}"
+        lines.append(f"STEP {idx} {text} BY {by}\n")
+    return "".join(lines) or "\n"       # no lines: one empty line
 
 
 def _number(word: str) -> int:
@@ -929,22 +909,13 @@ def parse_derivation(text: str, config: Optional[LogicConfig] = None) -> Derivat
             raise ProofError(f"line {lineno}: expected step number {len(steps) + 1}")
         formula = _formula(read, formula_text.strip(), lineno)
         words = by.split()
-        if not words or words[0] not in _RULE_ARITY:
+        if not words or words[0] not in _RULES:
             raise ProofError(f"line {lineno}: unknown rule {by!r}")
-        kind = words[0]
+        kind = _RULES[words[0]]
         try:
-            if len(words) != 1 + _RULE_ARITY[kind]:
+            if len(words) != 1 + len(fields(kind)):
                 raise ValueError
-            if kind == "AX":
-                rule: Rule = Ax(words[1])
-            elif kind == "HYP":
-                rule = Hyp(_number(words[1]) - 1)
-            elif kind == "MP":
-                rule = MP(_number(words[1]) - 1, _number(words[2]) - 1)
-            elif kind == "IAN":
-                rule = Ian()
-            else:
-                rule = Gian()
+            rule = kind(*(word if kind is Ax else _number(word) - 1 for word in words[1:]))
         except ValueError:
             raise ProofError(f"line {lineno}: malformed rule {by!r}") from None
         steps.append(Step(formula, rule))

@@ -321,6 +321,11 @@ def _weak_equiv(a: Formula, b: Formula) -> Formula:    # a <-> b
     return _wedge(Implies(a, b), Implies(b, a))
 
 
+def exact_expansion(grade: Fraction, term: Term, body: Formula) -> Formula:
+    """The expansion of ``term:{==grade}body`` for an expanded ``body``."""
+    return _weak_equiv(TruthConst(grade), Justified(term, body))
+
+
 #: The expansion of a node from the expansions of its operands.
 _EXPAND = {
     StrongConj: lambda f, a, b: StrongConj(a, b),
@@ -333,7 +338,7 @@ _EXPAND = {
     BiImpl: lambda f, a, b: _weak_equiv(a, b),
     GradedAtLeast: lambda f, a: Implies(TruthConst(f.grade), Justified(f.term, a)),
     GradedAtMost: lambda f, a: Implies(Justified(f.term, a), TruthConst(f.grade)),
-    GradedExact: lambda f, a: _weak_equiv(TruthConst(f.grade), Justified(f.term, a)),
+    GradedExact: lambda f, a: exact_expansion(f.grade, f.term, a),
 }
 
 

@@ -18,7 +18,9 @@ from fjl.logics import LogicConfig, active_schemes
 from fjl.models import FittingModel, model_to_dict, save_model
 from fjl.parser import parse_formula
 from fjl.proofs import TotalCS, cs_entry, format_derivation
-from fjl.syntax import Prop, Var, expand_sugar, print_formula
+from fjl.syntax import (
+    Const, GradedAtLeast, GradedAtMost, Prop, Var, WeakConj, expand_sugar, print_formula,
+)
 from fjl.tnorms import TNormKind
 from conftest import formulas
 from test_parser_oracle import ALPHABET
@@ -448,11 +450,25 @@ def _model_text(seed, formula):
     return json.dumps(data, indent=1)
 
 
-def _cs_text(seed, config):
+def _layer(spell, constant, body, graded):
+    """``cs_entry``'s layer of ``constant:body``; given a ``spell`` random
+    source, a graded layer is written at random as c:{==1}B, as
+    c:{>=1}B /\\ c:{<=1}B or in primitive form, which expand alike."""
+    entry = cs_entry(constant, body, graded)
+    if spell is None or not graded:
+        return entry
+    c = Const(constant)
+    return spell.choice([entry, WeakConj(GradedAtLeast(1, c, body), GradedAtMost(1, c, body)),
+                         expand_sugar(entry)])
+
+
+def _cs_text(seed, config, respell=False):
     """A constant specification for ``config``: chains c1:...:A over axiom
     instances or arbitrary formulas, some without their downward closure,
-    so both well-formed and ill-formed files come out."""
+    so both well-formed and ill-formed files come out.  ``respell`` writes
+    the same entries with their graded layers spelled at random."""
     rng = random.Random(seed)
+    spell = random.Random(-1 - seed) if respell else None
     lines = []
     for _ in range(rng.randint(1, 3)):
         if rng.random() < 0.7:
@@ -462,14 +478,15 @@ def _cs_text(seed, config):
             entry = random_formula(rng, config, 2)
         chain = [entry]
         for k in range(rng.randint(0, 2)):
-            chain.append(cs_entry(f"c{k + 1}", chain[-1], config.graded_necessitation))
+            chain.append(_layer(spell, f"c{k + 1}", chain[-1], config.graded_necessitation))
         # every layer, or only the outermost: a bare body or a missing tail
         lines += [print_formula(e) for e in (chain[1:] if rng.random() < 0.7 else chain[-1:])]
     return "\n".join(lines)
 
 
 #: CS texts for the graded system and for a plain one.
-CS_TEXTS = st.builds(_cs_text, st.integers(0, 10**6), st.sampled_from([RPLJ, BLJ]))
+CS_TEXTS = st.builds(_cs_text, st.integers(0, 10**6), st.sampled_from([RPLJ, BLJ]),
+                     st.booleans())
 
 
 def _citing(cs_text, rule):
@@ -579,3 +596,35 @@ def test_check_proof_exits_2_exactly_when_check_cs_fails(text, logic):
     assert used == (2 if checked else 0 if citing else 1)
     if checked == 1:
         assert "ill-formed constant specification" in err.getvalue()
+
+
+def _check_cs_code(text, logic):
+    """The exit code of ``fjl check-cs`` on a file holding ``text``."""
+    with tempfile.TemporaryDirectory() as d:
+        cs = os.path.join(d, "cs.txt")
+        with open(cs, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(["check-cs", "--logic", logic, cs])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_a_cs_files_verdict_does_not_depend_on_how_its_entries_are_spelled(seed):
+    assert _check_cs_code(_cs_text(seed, RPLJ, respell=True), "RPLJ") == \
+        _check_cs_code(_cs_text(seed, RPLJ), "RPLJ")
+
+
+@pytest.mark.parametrize("spelling", [
+    "c1:{>=1}((p & q) -> p) /\\ c1:{<=1}((p & q) -> p)",
+    "(#1 -> c1:((p & q) -> p)) /\\ (c1:((p & q) -> p) -> #1)",
+])
+def test_a_cs_entry_spelled_as_its_definition_is_the_entry(capsys, tmp_path, spelling):
+    """Both spellings are the definition of c1:{==1}((p & q) -> p)."""
+    cs = tmp_path / "cs.txt"
+    cs.write_text(spelling + "\n")
+    proof = tmp_path / "proof.txt"
+    proof.write_text("STEP 1 c1:{==1}((p & q) -> p) BY GIAN\n")
+    assert main(["check-cs", "--logic", "RPLJ", str(cs)]) == 0
+    assert main(["check-proof", "--logic", "RPLJ", "--cs", str(cs), str(proof)]) == 0
+    assert capsys.readouterr().out == "well-formed\naccepted; conclusion c1:{==1}(p & q -> p)\n"

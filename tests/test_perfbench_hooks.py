@@ -43,8 +43,8 @@ def test_wrapped_methods_exist():
 
 def test_check_proof_known_answers_and_step_formulas():
     """The first 40 ``check-proof`` cases of seed 0: each verdict is the
-    case's known answer, and the file's reader gives every formula a
-    fresh parse of its line gives."""
+    case's known answer, the file's reader gives every formula a fresh
+    parse of its line gives, and the file formats back to its bytes."""
     workloads = _load("workloads")
     api = workloads.plain_api()
     cases = list(itertools.islice(workloads.check_proof_inputs(api, 0), 40))
@@ -57,3 +57,17 @@ def test_check_proof_known_answers_and_step_formulas():
                  for line in case.data.splitlines()]
         fresh = [print_formula(parse_formula(text, workloads.RPLJ)) for text in texts]
         assert [print_formula(f) for f in d.hypotheses + tuple(s.formula for s in d.steps)] == fresh
+        assert proofs.format_derivation(d) == case.data
+
+
+def test_lifted_outputs_format_back_to_their_bytes():
+    """``internalize`` writes what ``check-proof`` reads: a lifted output
+    file, parsed and formatted again, is the same bytes.  Seed 1's cone
+    holds modus ponens steps, so its output carries graded lifting."""
+    workloads = _load("workloads")
+    api = workloads.plain_api()
+    for seed in range(7):
+        lifted = api.lift(workloads.fuzzed_derivation(api, seed), proofs.TotalCS(),
+                          workloads.RPLJ)[1]
+        text = proofs.format_derivation(lifted)
+        assert proofs.format_derivation(proofs.parse_derivation(text, workloads.RPLJ)) == text

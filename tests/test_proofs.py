@@ -253,8 +253,8 @@ def test_graded_theorem_derivations_check(key):
        formulas, unit_rationals().filter(lambda r: r != ONE),
        terms.filter(lambda u: not isinstance(u, Const)))
 def test_graded_layer_recognises_exactly_the_expansion_of_its_sugar(names, body, grade, term):
-    """``_split_graded_layer`` reads c:{==1}A's primitive form by hand; it
-    must agree with ``expand_sugar`` and take nothing near it."""
+    """``split_cs_layer`` reads c:{==1}A's primitive form; it must agree
+    with ``expand_sugar`` and take nothing near it."""
     c = names[0]
     layer = expand_sugar(GradedExact(ONE, Const(c), body))
     assert split_cs_layer(layer, True) == (c, expand_sugar(body))
@@ -284,6 +284,25 @@ def test_graded_layer_recognises_exactly_the_expansion_of_its_sugar(names, body,
                    repeat=Implies(VERUM, other), inner=StrongConj, j2=other, g2=TruthConst(grade))
     for slot, change in changes.items():
         assert split_cs_layer(form(**dict(slots, **{slot: change})), True) is None, slot
+
+
+def test_graded_from_exact_one_takes_exactly_the_exact_grade_one_layers():
+    b = DerivationBuilder(RPLJ, EMPTY_CS, [parse_formula("x:{==1}p"),
+                                           parse_formula("(p -> q) & r")])
+    assert b.formula(b.graded_from_exact_one(b.hyp(0))) == parse_formula("#1 -> x:p")
+    with pytest.raises(ShapeError):
+        b.graded_from_exact_one(b.hyp(1))
+
+
+def test_check_cs_reads_entries_expanded_and_prints_a_missing_tail_as_layers():
+    written = ["c3:{==1}c2:{==1}c1:{==1}((p & q) -> p)",
+               "c1:{>=1}((p & q) -> p) /\\ c1:{<=1}((p & q) -> p)"]
+    entries = [parse_formula(text) for text in written]
+    report = check_cs(FiniteCS([expand_sugar(entries[0]), entries[1]]), RPLJ)
+    assert report.problems == [
+        f"{print_formula(expand_sugar(entries[0]))}: tail c2:{{==1}}c1:{{==1}}(p & q -> p) "
+        f"missing (downward closure)"]
+    assert check_cs(FiniteCS(entries[1:]), RPLJ).ok
 
 
 def test_graded_weakening_rejects_inverted_grades():

@@ -26,7 +26,7 @@ from .proofs import (
     parse_cs, parse_derivation,
 )
 from .lifting import (
-    DegreeInterval, degree_interval, internalize, lift, provability_degree_lb,
+    DegreeInterval, degree_interval, lift, provability_degree_lb,
     truth_degree_ub,
 )
 from .suites import SUITES, SuiteReport, run_suite

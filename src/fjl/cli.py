@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit status: 0 on success or a passing check; 1 on a failing check,
-rejected input or a standard output closed early; 2 on usage errors and
+rejected input, running out of memory or a standard output closed
+early; 2 on usage errors and
 malformed or ill-formed formula, derivation, model or ``--cs`` files.
 ``FJL_SEED`` overrides the default seed of every seeded subcommand;
 ``--json``, before or after the subcommand, switches reports, and the
@@ -395,6 +396,9 @@ def main(argv=None) -> int:
         except (ParseError, ProofError, ValueError, OSError, KeyError) as exc:
             _error(str(exc), args.json)
             code = 2
+        except MemoryError:
+            _error("out of memory; the input is too large for this machine", args.json)
+            code = 1
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone: the rest, the flush at exit included, goes nowhere

@@ -19,14 +19,11 @@ from typing import Optional
 
 from .logics import FMeta, LogicConfig, RMeta, Scheme, TMeta, active_schemes
 from .models import FittingModel, eval_worlds, validate_model
-from .proofs import (
-    ConstantSpecification, DerivationBuilder, Derivation, EMPTY_CS, TotalCS,
-    cs_entry,
-)
+from .proofs import ConstantSpecification, DerivationBuilder, Derivation, EMPTY_CS, TotalCS
 from .syntax import (
     App, Const, FALSUM, Formula, GradedAtLeast, GradedAtMost, GradedExact,
     Implies, Justified, Neg, ONE, Prop, StrongConj, Sum, Term, TruthConst,
-    VERUM, Var, WeakConj, WeakDisj, ZERO, expand_sugar,
+    VERUM, Var, WeakConj, WeakDisj, ZERO, exact_expansion, expand_sugar,
 )
 from .tnorms import TNormKind
 
@@ -228,7 +225,7 @@ def random_derivation(rng: random.Random, config: LogicConfig,
     """An accepted derivation assembled from a few random construction moves."""
     hypotheses = [random_formula(rng, config, 2)
                   for _ in range(rng.randint(0, max_hypotheses))]
-    b = DerivationBuilder(config, cs, hypotheses)
+    b = DerivationBuilder(config, hypotheses)
     known = [b.hyp(i) for i in range(len(hypotheses))]
     schemes = active_schemes(config)
     for _ in range(max(1, moves)):
@@ -250,10 +247,10 @@ def random_derivation(rng: random.Random, config: LogicConfig,
         elif move < 0.85 and config.graded_necessitation and isinstance(cs, TotalCS):
             scheme = rng.choice(schemes)
             inst = random_scheme_instance(rng, scheme, config, 1)
-            entry = cs_entry(cs.constant_for(inst), inst, graded=True)
+            entry = exact_expansion(ONE, Const(cs.constant_for(inst)), inst)
             depth = rng.randint(1, 2)
             for _ in range(depth - 1):
-                entry = cs_entry(cs.constant_for(entry), entry, graded=True)
+                entry = exact_expansion(ONE, Const(cs.constant_for(entry)), entry)
             known.append(b.gian(entry))
         else:
             known.append(b.th_identity(expand_sugar(random_formula(rng, config, 1))))

@@ -27,12 +27,12 @@ from .logics import LogicConfig, axiom_instance_of
 from .models import FittingModel, eval_many, validate_model
 from .proofs import (
     ConstantSpecification, Derivation, DerivationBuilder, FiniteCS, Gian,
-    Hyp, Ax, Ian, ProofError, TotalCS, check_derivation, cs_entry,
-    extract_subderivation, split_cs_layer,
+    Hyp, Ax, Ian, ProofError, TotalCS, check_derivation, extract_subderivation,
+    split_cs_layer,
 )
 from .syntax import (
-    App, Const, FALSUM, Formula, GradedExact, Implies, Justified, ONE, Prop,
-    StrongConj, Sum, Term, TruthConst, Var, ZERO, expand_sugar, formula_props,
+    App, Const, FALSUM, Formula, Implies, Justified, ONE, Prop, StrongConj, Sum,
+    Term, TruthConst, Var, ZERO, exact_expansion, expand_sugar, formula_props,
     justified_pairs, subformulas, subterms,
 )
 from .tnorms import luka_tnorm, tnorm_apply
@@ -85,9 +85,9 @@ def lift(d: Derivation, cs: ConstantSpecification,
     d = extract_subderivation(d, len(d.steps) - 1)
 
     variables = _fresh_variables(d, len(d.hypotheses))
-    graded_hyps = [GradedExact(ONE, variables[i], d.hypotheses[i])
+    graded_hyps = [exact_expansion(ONE, variables[i], expand_sugar(d.hypotheses[i]))
                    for i in range(len(d.hypotheses))]
-    b = DerivationBuilder(config, cs, graded_hyps)
+    b = DerivationBuilder(config, graded_hyps)
 
     results: list = []        # (term, output step index) per input step
     for step in d.steps:
@@ -96,9 +96,8 @@ def lift(d: Derivation, cs: ConstantSpecification,
         if isinstance(rule, Hyp):
             results.append((variables[rule.index], b.hyp(rule.index)))
         elif isinstance(rule, (Ax, Gian)):
-            constant = cs.constant_for(f)
-            entry = cs_entry(constant, f, graded=True)
-            results.append((Const(constant), b.gian(entry)))
+            constant = Const(cs.constant_for(f))
+            results.append((constant, b.gian(exact_expansion(ONE, constant, f))))
         elif isinstance(rule, Ian):
             raise ProofError("plain necessitation cannot appear in the graded system")
         else:  # MP
@@ -111,14 +110,6 @@ def lift(d: Derivation, cs: ConstantSpecification,
 
     term, final = results[-1]
     return term, extract_subderivation(b.build(), final)
-
-
-def internalize(d: Derivation, cs: ConstantSpecification,
-                config: Optional[LogicConfig] = None) -> tuple[Term, Derivation]:
-    """Lifting with no hypotheses: a closed derivation of t:{==1}F."""
-    if d.hypotheses:
-        raise ProofError("internalization expects a derivation without hypotheses")
-    return lift(d, cs, config)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +131,7 @@ def provability_degree_lb(hypotheses: Iterable[Formula], goal: Formula,
     hyps = tuple(hypotheses)
     goal_e = expand_sugar(goal)
     hyp_e = [expand_sugar(h) for h in hyps]
-    b = DerivationBuilder(config, cs, hyps)
+    b = DerivationBuilder(config, hyps)
 
     seen: set = set()
     for f in hyp_e + [goal_e]:
@@ -191,7 +182,7 @@ def provability_degree_lb(hypotheses: Iterable[Formula], goal: Formula,
         if isinstance(cs, FiniteCS):
             entries = cs.entries
         else:       # the covered c:A among the subformulas
-            entries = [cs_entry(f.term.name, f.body, graded=True) for f in universe
+            entries = [exact_expansion(ONE, f.term, f.body) for f in universe
                        if isinstance(f, Justified) and isinstance(f.term, Const)
                        and cs.covers(f.term.name, f.body, config)]
         for entry in entries:

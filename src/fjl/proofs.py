@@ -4,9 +4,12 @@ the checker, and constructors for the admissible graded rules.
 The kernel trusts five step kinds only: hypothesis, axiom instance,
 modus ponens and the two constant-introduction rules IAN (plain
 systems) and GIAN (the Pavelka-based system).  Everything else, the
-graded modus ponens rules, monotonicity, and the stock theorems used by
-internalization, is macro-expanded by :class:`DerivationBuilder` into
-primitive steps that the checker re-verifies.
+graded modus ponens rules, monotonicity and the theorems lifting uses,
+is macro-expanded by :class:`DerivationBuilder` into primitive steps
+that the checker re-verifies.  The stock theorems that the suites
+check are recipes in two tables keyed by name, :data:`BL_THEOREMS` and
+:data:`GRADED_THEOREMS`; :func:`stock_derivation` runs one on a fresh
+builder.
 
 Formula comparison throughout is identity of sugar-expanded normal
 forms: nodes are interned (see :mod:`fjl.syntax`), so two formulas are
@@ -326,10 +329,8 @@ class DerivationBuilder:
     """Accumulates primitive steps; every helper returns the index of the
     step holding its conclusion.  Duplicate formulas are shared."""
 
-    def __init__(self, config: LogicConfig, cs: ConstantSpecification = EMPTY_CS,
-                 hypotheses: Iterable[Formula] = ()):
+    def __init__(self, config: LogicConfig, hypotheses: Iterable[Formula] = ()):
         self.config = config
-        self.cs = cs
         self.hypotheses = tuple(expand_sugar(h) for h in hypotheses)
         self.steps: list = []
         self._seen: dict = {}
@@ -641,67 +642,25 @@ class DerivationBuilder:
 
 
 # ---------------------------------------------------------------------------
-# Stock theorems with golden derivations
+# Stock theorems: recipes and their runner
+#
+# A recipe emits one theorem's steps on the builder it is given and
+# returns the index of the conclusion.  Where a builder method proves the
+# theorem, it is the recipe.  ``stock_derivation`` runs a recipe on a
+# fresh builder for its table's logic.  A recipe's calls must keep their
+# order, because the order of the calls is the order of the steps.
 
 _BL = LogicConfig(base=Base.BL, justified=False)
 
 
-def _bl_builder() -> DerivationBuilder:
-    return DerivationBuilder(_BL, EMPTY_CS)
-
-
-def theorem_unit() -> Derivation:
-    """The provable unit ~#0."""
-    b = _bl_builder()
-    b.th_one()
-    return b.build()
-
-
-def theorem_weakening(a: Formula, c: Formula) -> Derivation:
-    """a -> (c -> a)."""
-    b = _bl_builder()
-    b.th_k(expand_sugar(a), expand_sugar(c))
-    return b.build()
-
-
-def theorem_strong_to_weak(a: Formula, c: Formula) -> Derivation:
+def _strong_to_weak(b: DerivationBuilder, a: Formula, c: Formula) -> int:
     """(a & c) -> (a /\\ c)."""
-    b = _bl_builder()
-    a, c = expand_sugar(a), expand_sugar(c)
-    k = b.th_k(c, a)
-    b.mono_right(k, a)
-    return b.build()
+    return b.mono_right(b.th_k(c, a), a)
 
 
-def theorem_weak_projection(a: Formula, c: Formula) -> Derivation:
+def _weak_projection(b: DerivationBuilder, a: Formula, c: Formula) -> int:
     """(a /\\ c) -> a."""
-    b = _bl_builder()
-    a, c = expand_sugar(a), expand_sugar(c)
-    b.axiom("BL2", Implies(StrongConj(a, Implies(a, c)), a))
-    return b.build()
-
-
-def theorem_implication_weak_intro(a: Formula, c: Formula) -> Derivation:
-    """(a -> c) -> (a -> (a /\\ c))."""
-    b = _bl_builder()
-    b.th_imp_weaken(expand_sugar(a), expand_sugar(c))
-    return b.build()
-
-
-def theorem_exchange(a: Formula, c: Formula, e: Formula) -> Derivation:
-    """(a -> (c -> e)) -> (c -> (a -> e))."""
-    b = _bl_builder()
-    b.th_exchange(expand_sugar(a), expand_sugar(c), expand_sugar(e))
-    return b.build()
-
-
-def theorem_conj_monotone(a1: Formula, b1: Formula,
-                          a2: Formula, b2: Formula) -> Derivation:
-    """((a1 -> b1) & (a2 -> b2)) -> ((a1 & a2) -> (b1 & b2))."""
-    b = _bl_builder()
-    b.th_conj_mono(expand_sugar(a1), expand_sugar(b1),
-                   expand_sugar(a2), expand_sugar(b2))
-    return b.build()
+    return b.axiom("BL2", Implies(StrongConj(a, Implies(a, c)), a))
 
 
 def _prelinearity(b: DerivationBuilder, a: Formula, c: Formula) -> int:
@@ -721,120 +680,101 @@ def _prelinearity(b: DerivationBuilder, a: Formula, c: Formula) -> int:
     return b.conj_pair(u6, w2)
 
 
-def theorem_prelinearity(a: Formula, c: Formula) -> Derivation:
-    """(a -> c) \\/ (c -> a)."""
-    b = _bl_builder()
-    _prelinearity(b, expand_sugar(a), expand_sugar(c))
-    return b.build()
-
-
+#: The BL theorems (Hajek 1998, ch. 2) by name: (number of formula
+#: arguments, recipe).
 BL_THEOREMS = {
-    1: ("unit", theorem_unit, 0),
-    2: ("weakening", theorem_weakening, 2),
-    3: ("strong-to-weak", theorem_strong_to_weak, 2),
-    4: ("weak-projection", theorem_weak_projection, 2),
-    5: ("implication-weak-intro", theorem_implication_weak_intro, 2),
-    6: ("exchange", theorem_exchange, 3),
-    7: ("conj-monotone", theorem_conj_monotone, 4),
-    8: ("prelinearity", theorem_prelinearity, 2),
+    "unit": (0, DerivationBuilder.th_one),
+    "weakening": (2, DerivationBuilder.th_k),
+    "strong-to-weak": (2, _strong_to_weak),
+    "weak-projection": (2, _weak_projection),
+    "implication-weak-intro": (2, DerivationBuilder.th_imp_weaken),
+    "exchange": (3, DerivationBuilder.th_exchange),
+    "conj-monotone": (4, DerivationBuilder.th_conj_mono),
+    "prelinearity": (2, _prelinearity),
 }
 
 
-# -- graded justification theorems (Pavelka base with justifications) -------
-
-def _rpl_builder() -> DerivationBuilder:
-    return DerivationBuilder(LogicConfig(), EMPTY_CS)     # RPLJ
-
-
-def graded_upper_one(t: Term, a: Formula) -> Derivation:
+def _upper_one(b: DerivationBuilder, t: Term, a: Formula) -> int:
     """t:{<=1}a."""
-    b = _rpl_builder()
-    j = Justified(t, expand_sugar(a))
-    b.mp(b.th_verum(), b.th_k(VERUM, j))
-    return b.build()
+    return b.mp(b.th_verum(), b.th_k(VERUM, Justified(t, a)))
 
 
-def graded_lower_zero(t: Term, a: Formula) -> Derivation:
+def _lower_zero(b: DerivationBuilder, t: Term, a: Formula) -> int:
     """t:{>=0}a."""
-    b = _rpl_builder()
-    b.axiom("BL7", Implies(FALSUM, Justified(t, expand_sugar(a))))
-    return b.build()
+    return b.axiom("BL7", Implies(FALSUM, Justified(t, a)))
 
 
-def graded_refute_upper(t: Term, a: Formula, r: Fraction) -> Derivation:
+def _refute(b: DerivationBuilder, refuted: Formula, other: Formula) -> int:
+    """~refuted -> other, for ``refuted`` and ``other`` the two directions
+    of one implication: a case split, then double negation."""
+    s1 = b.axiom("BL6", Implies(Implies(refuted, FALSUM),
+                                Implies(Implies(other, FALSUM), FALSUM)))
+    s2 = b.axiom("L", Implies(Implies(Implies(other, FALSUM), FALSUM), other))
+    return b.compose(s1, s2)
+
+
+def _refute_upper(b: DerivationBuilder, t: Term, a: Formula, r: Fraction) -> int:
     """~t:{<=r}a -> t:{>=r}a."""
-    b = _rpl_builder()
-    j = Justified(t, expand_sugar(a))
-    x, y = Implies(TruthConst(r), j), Implies(j, TruthConst(r))
-    s1 = b.axiom("BL6", Implies(Implies(y, FALSUM),
-                                Implies(Implies(x, FALSUM), FALSUM)))
-    s2 = b.axiom("L", Implies(Implies(Implies(x, FALSUM), FALSUM), x))
-    b.compose(s1, s2)
-    return b.build()
+    j = Justified(t, a)
+    return _refute(b, Implies(j, TruthConst(r)), Implies(TruthConst(r), j))
 
 
-def graded_refute_lower(t: Term, a: Formula, r: Fraction) -> Derivation:
+def _refute_lower(b: DerivationBuilder, t: Term, a: Formula, r: Fraction) -> int:
     """~t:{>=r}a -> t:{<=r}a."""
-    b = _rpl_builder()
-    j = Justified(t, expand_sugar(a))
-    x, y = Implies(TruthConst(r), j), Implies(j, TruthConst(r))
-    s1 = b.axiom("BL6", Implies(Implies(x, FALSUM),
-                                Implies(Implies(y, FALSUM), FALSUM)))
-    s2 = b.axiom("L", Implies(Implies(Implies(y, FALSUM), FALSUM), y))
-    b.compose(s1, s2)
-    return b.build()
+    j = Justified(t, a)
+    return _refute(b, Implies(TruthConst(r), j), Implies(j, TruthConst(r)))
 
 
-def graded_weakening(t: Term, a: Formula, r: Fraction, r2: Fraction) -> Derivation:
+def _grade_weakening(b: DerivationBuilder, t: Term, a: Formula,
+                     r: Fraction, r2: Fraction) -> int:
     """t:{>=r2}a -> t:{>=r}a for r <= r2."""
-    if r > r2:
-        raise ShapeError(f"need {r} <= {r2}")
-    b = _rpl_builder()
-    j = Justified(t, expand_sugar(a))
-    ci = b.th_const_imp(r, r2)
-    b.suffix(ci, j)
-    return b.build()
+    return b.suffix(b.th_const_imp(r, r2), Justified(t, a))
 
 
-def graded_exact_one_equivalence(t: Term, a: Formula) -> Derivation:
+def _exact_one_equivalence(b: DerivationBuilder, t: Term, a: Formula) -> int:
     """(t:{>=1}a) == (t:{==1}a)."""
-    b = _rpl_builder()
-    q = expand_sugar(GradedExact(ONE, t, a))
-    d5 = b.th_exact_one_intro(t, a)
-    d6 = b.axiom("BL2", Implies(q, q.left))
-    b.conj_pair(d5, d6)
-    return b.build()
+    q = exact_expansion(ONE, t, a)
+    return b.conj_pair(b.th_exact_one_intro(t, a), b.axiom("BL2", Implies(q, q.left)))
 
 
-def graded_exact_one_unwrap(t: Term, a: Formula) -> Derivation:
+def _exact_one_unwrap(b: DerivationBuilder, t: Term, a: Formula) -> int:
     """(t:{==1}a) -> t:a."""
-    b = _rpl_builder()
-    q = expand_sugar(GradedExact(ONE, t, a))
-    d6 = b.axiom("BL2", Implies(q, q.left))
-    e2 = b.th_exchange(q, VERUM, q.left.right)
-    e3 = b.mp(d6, e2)
-    b.mp(b.th_verum(), e3)
-    return b.build()
+    q = exact_expansion(ONE, t, a)
+    e3 = b.mp(b.axiom("BL2", Implies(q, q.left)), b.th_exchange(q, VERUM, q.left.right))
+    return b.mp(b.th_verum(), e3)
 
 
-def graded_dichotomy(t: Term, a: Formula, r: Fraction) -> Derivation:
+def _dichotomy(b: DerivationBuilder, t: Term, a: Formula, r: Fraction) -> int:
     """(t:{>=r}a) \\/ (t:{<=r}a)."""
-    b = _rpl_builder()
-    _prelinearity(b, TruthConst(r), Justified(t, expand_sugar(a)))
-    return b.build()
+    return _prelinearity(b, TruthConst(r), Justified(t, a))
 
 
+#: The graded theorems of RPLJ by name: (number of arguments, recipe).
 #: Arity 2 takes (t, a), 3 takes (t, a, r) and 4 takes (t, a, low, high).
 GRADED_THEOREMS = {
-    1: ("upper-one", graded_upper_one, 2),
-    2: ("lower-zero", graded_lower_zero, 2),
-    3: ("refute-upper", graded_refute_upper, 3),
-    4: ("refute-lower", graded_refute_lower, 3),
-    5: ("grade-weakening", graded_weakening, 4),
-    6: ("exact-one-equivalence", graded_exact_one_equivalence, 2),
-    7: ("exact-one-unwrap", graded_exact_one_unwrap, 2),
-    8: ("grade-dichotomy", graded_dichotomy, 3),
+    "upper-one": (2, _upper_one),
+    "lower-zero": (2, _lower_zero),
+    "refute-upper": (3, _refute_upper),
+    "refute-lower": (3, _refute_lower),
+    "grade-weakening": (4, _grade_weakening),
+    "exact-one-equivalence": (2, _exact_one_equivalence),
+    "exact-one-unwrap": (2, _exact_one_unwrap),
+    "grade-dichotomy": (3, _dichotomy),
 }
+
+
+def stock_derivation(name: str, *args) -> Derivation:
+    """The derivation of the stock theorem ``name`` at ``args``: in BL for
+    a name in :data:`BL_THEOREMS`, else in RPLJ for one in
+    :data:`GRADED_THEOREMS`.  The formula arguments are expanded first."""
+    if name in BL_THEOREMS:
+        b, (_, recipe) = DerivationBuilder(_BL), BL_THEOREMS[name]
+        recipe(b, *map(expand_sugar, args))
+    else:
+        b, (_, recipe) = DerivationBuilder(LogicConfig()), GRADED_THEOREMS[name]
+        t, a, *grades = args
+        recipe(b, t, expand_sugar(a), *grades)
+    return b.build()
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,9 @@ from .models import (
     eval_worlds, validate_model,
 )
 from .parser import parse_formula
-from .proofs import BL_THEOREMS, EMPTY_CS, GRADED_THEOREMS, TotalCS, check_derivation
+from .proofs import (
+    BL_THEOREMS, EMPTY_CS, GRADED_THEOREMS, TotalCS, check_derivation, stock_derivation,
+)
 from .syntax import (
     App, Formula, GradedAtLeast, GradedAtMost, GradedExact, Implies,
     Justified, ONE, Prop, StrongConj, Sum, TruthConst, ZERO, expand_sugar,
@@ -168,7 +170,8 @@ def residuum_monotonicity_suite(bound: int = 8, **_) -> SuiteReport:
 def _bl_theorem_instances(rng: random.Random) -> list:
     """One random instantiation of each stock theorem, with its derivation."""
     args = [random_formula(rng, _BLJ, 2) for _ in range(4)]
-    return [(name, fn(*args[:arity])) for name, fn, arity in BL_THEOREMS.values()]
+    return [(name, stock_derivation(name, *args[:arity]))
+            for name, (arity, _) in BL_THEOREMS.items()]
 
 
 def _graded_theorem_instances(rng: random.Random) -> list:
@@ -177,7 +180,8 @@ def _graded_theorem_instances(rng: random.Random) -> list:
     a = random_formula(rng, _RPLJ, 2)
     r, r2 = Fraction(rng.randint(0, 6), 6), Fraction(rng.randint(0, 6), 6)
     args = {2: (t, a), 3: (t, a, r), 4: (t, a, min(r, r2), max(r, r2))}
-    return [(name, fn(*args[arity])) for name, fn, arity in GRADED_THEOREMS.values()]
+    return [(name, stock_derivation(name, *args[arity]))
+            for name, (arity, _) in GRADED_THEOREMS.items()]
 
 
 def _theorem_suite(name: str, config: LogicConfig, instances_fn,

@@ -1,7 +1,11 @@
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
 
+from fjl.generate import random_formula, random_term
+from fjl.logics import LogicConfig
+from fjl.proofs import BL_THEOREMS, GRADED_THEOREMS, stock_derivation
 from fjl.syntax import (
     App, BiImpl, Const, Equiv, GradedAtLeast, GradedAtMost, GradedExact,
     Implies, Justified, Neg, Prop, StrongConj, Sum, TruthConst, Var, WeakConj,
@@ -57,3 +61,19 @@ primitive_formulas = st.recursive(
     ),
     max_leaves=8,
 )
+
+
+def stock_derivations(seed: int) -> list:
+    """(name, derivation) for each stock theorem, its arguments drawn for
+    ``seed`` as the ``bl-theorems`` and ``graded-theorems`` suites draw them."""
+    rng = random.Random(seed)
+    args = [random_formula(rng, LogicConfig.from_name("BLJ"), 2) for _ in range(4)]
+    out = [(name, stock_derivation(name, *args[:arity]))
+           for name, (arity, _) in BL_THEOREMS.items()]
+    rng = random.Random(seed)
+    t = random_term(rng, 1)
+    a = random_formula(rng, LogicConfig.from_name("RPLJ"), 2)
+    r, r2 = Fraction(rng.randint(0, 6), 6), Fraction(rng.randint(0, 6), 6)
+    graded = {2: (t, a), 3: (t, a, r), 4: (t, a, min(r, r2), max(r, r2))}
+    return out + [(name, stock_derivation(name, *graded[arity]))
+                  for name, (arity, _) in GRADED_THEOREMS.items()]

@@ -234,6 +234,21 @@ def test_internalize_exit_codes(capsys, tmp_path):
     assert "schematic-total" in capsys.readouterr().err
 
 
+def test_running_out_of_memory_exits_1_with_an_error(capsys, tmp_path, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("fjl.cli.lift", exhausted)
+    proof = tmp_path / "proof.txt"
+    proof.write_text("STEP 1 (p & q) -> p BY AX BL2\n")
+    assert main(["internalize", "--cs", "total", str(proof)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: out of memory") and not captured.out
+    assert main(["--json", "internalize", "--cs", "total", str(proof)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False and payload["error"].startswith("out of memory")
+
+
 def test_degree_command_json(capsys, tmp_path):
     assert main(["--json", "degree", "--hyp", "#1/2 -> p", "--formula", "p",
                  "--trials", "10", "--witness-dir", str(tmp_path)]) == 0

@@ -15,14 +15,8 @@ from fjl.parser import ConstantNotAllowedError, LexicalError, ParseError, parse_
 from fjl.proofs import (
     Ax, BL_THEOREMS, Derivation, DerivationBuilder, EMPTY_CS, FiniteCS, Gian,
     GRADED_THEOREMS, Hyp, Ian, MP, ProofError, ShapeError, Step, TotalCS,
-    check_cs, check_derivation, format_derivation, graded_dichotomy,
-    graded_exact_one_equivalence, graded_exact_one_unwrap, graded_lower_zero,
-    graded_refute_lower, graded_refute_upper, graded_upper_one,
-    graded_weakening, parse_cs, parse_derivation, split_cs_layer, strip_cs_chain,
-    theorem_conj_monotone,
-    theorem_exchange, theorem_implication_weak_intro, theorem_prelinearity,
-    theorem_strong_to_weak, theorem_unit, theorem_weak_projection,
-    theorem_weakening,
+    check_cs, check_derivation, format_derivation, parse_cs, parse_derivation,
+    split_cs_layer, stock_derivation, strip_cs_chain,
 )
 from fjl.syntax import (
     App, Const, GradedAtLeast, GradedExact, Implies, Justified, ONE, Prop, StrongConj,
@@ -172,7 +166,7 @@ def test_total_cs_membership_and_constants():
 
 def _builder(*premises: str):
     """An RPLJ builder over the hypotheses ``premises``, and their steps."""
-    b = DerivationBuilder(RPLJ, EMPTY_CS, [parse_formula(h) for h in premises])
+    b = DerivationBuilder(RPLJ, [parse_formula(h) for h in premises])
     return b, [b.hyp(i) for i in range(len(premises))]
 
 
@@ -229,20 +223,21 @@ def test_power_formula_is_square_under_luka():
     assert eval_formula(m, "w", StrongConj(p, p)) == Fraction(1, 2)
 
 
-@pytest.mark.parametrize("key", sorted(BL_THEOREMS))
+# ``key`` is the theorem's 1-based place in its table
+@pytest.mark.parametrize("key", range(1, len(BL_THEOREMS) + 1))
 def test_bl_theorem_derivations_check(key):
-    name, fn, arity = BL_THEOREMS[key]
-    args = [p, q, r, Prop("u")][:arity]
-    d = fn(*args)
+    name, (arity, recipe) = list(BL_THEOREMS.items())[key - 1]
+    assert arity == len(inspect.signature(recipe).parameters) - 1      # after the builder
+    d = stock_derivation(name, *[p, q, r, Prop("u")][:arity])
     report = check_derivation(d, BL, EMPTY_CS)
     assert report.ok, f"{name}: {report.summary()}"
 
 
-@pytest.mark.parametrize("key", sorted(GRADED_THEOREMS))
+@pytest.mark.parametrize("key", range(1, len(GRADED_THEOREMS) + 1))
 def test_graded_theorem_derivations_check(key):
-    name, fn, arity = GRADED_THEOREMS[key]
-    assert arity == len(inspect.signature(fn).parameters)
-    d = fn(*[t, p, Fraction(1, 3), Fraction(2, 3)][:arity])
+    name, (arity, recipe) = list(GRADED_THEOREMS.items())[key - 1]
+    assert arity == len(inspect.signature(recipe).parameters) - 1
+    d = stock_derivation(name, *[t, p, Fraction(1, 3), Fraction(2, 3)][:arity])
     report = check_derivation(d, RPLJ, TotalCS())
     assert report.ok, f"{name}: {report.summary()}"
 
@@ -287,8 +282,7 @@ def test_graded_layer_recognises_exactly_the_expansion_of_its_sugar(names, body,
 
 
 def test_graded_from_exact_one_takes_exactly_the_exact_grade_one_layers():
-    b = DerivationBuilder(RPLJ, EMPTY_CS, [parse_formula("x:{==1}p"),
-                                           parse_formula("(p -> q) & r")])
+    b = DerivationBuilder(RPLJ, [parse_formula("x:{==1}p"), parse_formula("(p -> q) & r")])
     assert b.formula(b.graded_from_exact_one(b.hyp(0))) == parse_formula("#1 -> x:p")
     with pytest.raises(ShapeError):
         b.graded_from_exact_one(b.hyp(1))
@@ -307,29 +301,29 @@ def test_check_cs_reads_entries_expanded_and_prints_a_missing_tail_as_layers():
 
 def test_graded_weakening_rejects_inverted_grades():
     with pytest.raises(ShapeError):
-        graded_weakening(t, p, Fraction(2, 3), Fraction(1, 3))
+        stock_derivation("grade-weakening", t, p, Fraction(2, 3), Fraction(1, 3))
 
 
 def test_theorem_conclusions_have_the_documented_shapes():
     from fjl.syntax import Neg, WeakConj, WeakDisj, Equiv, GradedAtLeast, GradedAtMost, Justified
-    assert theorem_unit().conclusion == expand_sugar(Neg(TruthConst(0)))
-    assert theorem_weakening(p, q).conclusion == Implies(p, Implies(q, p))
-    assert theorem_strong_to_weak(p, q).conclusion == \
+    assert stock_derivation("unit").conclusion == expand_sugar(Neg(TruthConst(0)))
+    assert stock_derivation("weakening", p, q).conclusion == Implies(p, Implies(q, p))
+    assert stock_derivation("strong-to-weak", p, q).conclusion == \
         expand_sugar(Implies(StrongConj(p, q), WeakConj(p, q)))
-    assert theorem_weak_projection(p, q).conclusion == \
+    assert stock_derivation("weak-projection", p, q).conclusion == \
         expand_sugar(Implies(WeakConj(p, q), p))
-    assert theorem_implication_weak_intro(p, q).conclusion == \
+    assert stock_derivation("implication-weak-intro", p, q).conclusion == \
         expand_sugar(Implies(Implies(p, q), Implies(p, WeakConj(p, q))))
-    assert theorem_prelinearity(p, q).conclusion == \
+    assert stock_derivation("prelinearity", p, q).conclusion == \
         expand_sugar(WeakDisj(Implies(p, q), Implies(q, p)))
-    assert graded_upper_one(t, p).conclusion == \
+    assert stock_derivation("upper-one", t, p).conclusion == \
         expand_sugar(GradedAtMost(Fraction(1), t, p))
-    assert graded_exact_one_equivalence(t, p).conclusion == \
+    assert stock_derivation("exact-one-equivalence", t, p).conclusion == \
         expand_sugar(Equiv(GradedAtLeast(Fraction(1), t, p),
                            GradedExact(Fraction(1), t, p)))
-    assert graded_exact_one_unwrap(t, p).conclusion == \
+    assert stock_derivation("exact-one-unwrap", t, p).conclusion == \
         expand_sugar(Implies(GradedExact(Fraction(1), t, p), Justified(t, p)))
-    assert graded_dichotomy(t, p, Fraction(1, 2)).conclusion == \
+    assert stock_derivation("grade-dichotomy", t, p, Fraction(1, 2)).conclusion == \
         expand_sugar(WeakDisj(GradedAtLeast(Fraction(1, 2), t, p),
                               GradedAtMost(Fraction(1, 2), t, p)))
 
@@ -339,11 +333,11 @@ def test_closed_theorems_are_semantically_valid():
     from fjl.generate import ModelParams, random_model
     cs = TotalCS()
     conclusions = [
-        theorem_exchange(p, q, r).conclusion,
-        theorem_conj_monotone(p, q, r, Prop("u")).conclusion,
-        graded_refute_upper(t, p, Fraction(1, 3)).conclusion,
-        graded_refute_lower(t, p, Fraction(2, 3)).conclusion,
-        graded_lower_zero(t, p).conclusion,
+        stock_derivation("exchange", p, q, r).conclusion,
+        stock_derivation("conj-monotone", p, q, r, Prop("u")).conclusion,
+        stock_derivation("refute-upper", t, p, Fraction(1, 3)).conclusion,
+        stock_derivation("refute-lower", t, p, Fraction(2, 3)).conclusion,
+        stock_derivation("lower-zero", t, p).conclusion,
     ]
     for seed in range(30):
         m = random_model(seed, ModelParams(), RPLJ, cs)
@@ -526,7 +520,7 @@ def test_a_line_starting_with_a_truth_constant_is_an_entry_not_a_comment():
 
 
 def test_builder_rejects_bad_axiom():
-    b = DerivationBuilder(BL, EMPTY_CS)
+    b = DerivationBuilder(BL)
     with pytest.raises(ProofError):
         b.axiom("BL2", parse_formula("p -> p"))
 

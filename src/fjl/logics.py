@@ -11,12 +11,12 @@ formula, term and rational metavariables.  The two bookkeeping schemes
 for truth constants carry a side computation that pins the computed
 constant (the Lukasiewicz residuum or t-norm of the matched grades).
 
-One matcher serves terms and formulas alike.  Nodes are interned (see
-:mod:`fjl.syntax`), so a fixed leaf or a repeated metavariable is
-checked by an identity test, and a metavariable binds a whole subtree:
-the matcher recurses no deeper than its pattern, at most 6 levels.
-The active schemes and the table of rule tags are computed once per
-configuration.
+Each scheme matches through straight-line code generated from its
+pattern on its first match, for terms and formulas alike.  Nodes are
+interned (see :mod:`fjl.syntax`), so a fixed leaf or a repeated
+metavariable is checked by an identity test, and a metavariable binds a
+whole subtree.  The active schemes and the table of rule tags are
+computed once per configuration.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from types import MappingProxyType
-from typing import Optional
+from typing import Callable, Optional
 
 from .syntax import (
-    App, Const, FALSUM, Formula, Implies, Justified, Prop, StrongConj, Sum,
-    TruthConst, Var, expand_sugar,
+    App, FALSUM, Formula, Implies, Justified, StrongConj, Sum, TruthConst,
+    expand_sugar,
 )
 from .tnorms import TNormKind, luka_tnorm, residuum_apply
 
@@ -121,29 +121,6 @@ class RMeta:
     name: str
 
 
-_LEAVES = frozenset({Prop, TruthConst, Var, Const})
-
-
-def _bind(pattern, node, binding: dict) -> bool:
-    """Extend ``binding`` so that ``pattern`` under it is ``node``; False
-    if none does."""
-    if pattern is node:
-        return True
-    cls = type(pattern)
-    if cls is FMeta or cls is TMeta:
-        return binding.setdefault(pattern.name, node) is node
-    if cls is RMeta:
-        return (type(node) is TruthConst
-                and binding.setdefault(pattern.name, node.value) == node.value)
-    if cls is not type(node) or cls in _LEAVES:
-        return False
-    if cls is Justified:
-        return (_bind(pattern.term, node.term, binding)
-                and _bind(pattern.body, node.body, binding))
-    return (_bind(pattern.left, node.left, binding)
-            and _bind(pattern.right, node.right, binding))
-
-
 def _compile(pattern) -> tuple:
     """``pattern`` as a flat pre-order program of ``(op, arg)`` pairs: a
     metavariable's class and name, ``(None, leaf)`` for a fixed leaf and
@@ -161,6 +138,42 @@ def _compile(pattern) -> tuple:
     return tuple(program)
 
 
+def _matcher(program: tuple, side: tuple):
+    """A straight-line ``match(f)`` generated from ``program``, as
+    :mod:`dataclasses` generates ``__init__``: one class test per pattern
+    node, an identity test per fixed leaf or repeated metavariable, then
+    the side checks.  It returns the binding, keys in order of first
+    occurrence, or None."""
+    lines, first, spots, space = [], {}, ["n0"], {}
+    for k, (op, arg) in enumerate(program):
+        at = spots.pop()
+        if op is None:
+            space[f"k{k}"] = arg
+            lines.append(f"if {at} is not k{k}: return None")
+            continue
+        if arg in first:
+            lines.append(f"if {at} is not {first[arg][0]}: return None")
+            continue
+        if at != f"n{k}":
+            lines.append(f"n{k} = {at}")
+        if op in (FMeta, TMeta, RMeta):
+            first[arg] = (f"n{k}", ".value" if op is RMeta else "")
+            if op is not RMeta:
+                continue
+            op = TruthConst
+        space[op.__name__] = op
+        lines.append(f"if type(n{k}) is not {op.__name__}: return None")
+        if arg is None:
+            spots += [f"n{k}.{name}" for name in reversed(op._fields)]
+    lines.append("b = {" + ", ".join(f"{name!r}: {node}{value}"
+                                     for name, (node, value) in first.items()) + "}")
+    for i, (name, fn) in enumerate(side):
+        space[f"side{i}"] = fn
+        lines.append(f"if b[{name!r}] != side{i}(b): return None")
+    exec("def match(n0):\n" + "".join(f"    {line}\n" for line in lines + ["return b"]), space)
+    return space["match"]
+
+
 @dataclass(frozen=True)
 class Scheme:
     """A named axiom scheme over primitive connectives.
@@ -170,8 +183,9 @@ class Scheme:
     computed value, an instantiation computes them.  The pattern is
     compiled once into a pre-order program (see :func:`_compile`):
     ``instantiate`` reads it backward onto a stack of values, and the
-    free metavariables are its metavariable entries.  ``match`` walks
-    the pattern itself, which costs less on a match that fails early.
+    free metavariables are its metavariable entries.  ``match`` runs a
+    straight-line matcher generated from the program on its first call
+    (see :func:`_matcher`), which stops at the first failed test.
     """
 
     name: str
@@ -179,6 +193,7 @@ class Scheme:
     side: tuple = ()
     _program: tuple = field(init=False, repr=False, compare=False)
     _free: tuple = field(init=False, repr=False, compare=False)
+    _match: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         program = _compile(self.pattern)
@@ -191,13 +206,9 @@ class Scheme:
     def match(self, f: Formula) -> Optional[dict]:
         """The substitution making the pattern ``f``, or None.  Precondition:
         ``f`` is expanded (``axiom_instance_of`` expands for its callers)."""
-        binding: dict = {}
-        if not _bind(self.pattern, f, binding):
-            return None
-        for name, fn in self.side:
-            if binding.get(name) != fn(binding):
-                return None
-        return binding
+        if self._match is None:
+            object.__setattr__(self, "_match", _matcher(self._program, self.side))
+        return self._match(f)
 
     def instantiate(self, binding: dict) -> Formula:
         full = dict(binding)

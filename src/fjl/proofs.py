@@ -14,14 +14,17 @@ builder.
 Formula comparison throughout is identity of sugar-expanded normal
 forms: nodes are interned (see :mod:`fjl.syntax`), so two formulas are
 structurally equal exactly when they are one object.
+
+A step and the rules with fields are named tuples, so ``MP(0, 1) ==
+(0, 1)``; IAN and GIAN are fieldless and compare equal to no other rule.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .logics import Base, LogicConfig, axiom_instance_of, schemes_by_tag
 from .parser import ParseError, formula_reader
@@ -44,37 +47,36 @@ class ProofError(ValueError):
 # ---------------------------------------------------------------------------
 # Derivations
 
-@dataclass(frozen=True)
-class Hyp:
+class Hyp(NamedTuple):
     index: int
 
 
-@dataclass(frozen=True)
-class Ax:
+class Ax(NamedTuple):
     scheme: str
 
 
-@dataclass(frozen=True)
-class MP:
+class MP(NamedTuple):
     antecedent: int
     implication: int
 
 
+# IAN and GIAN stay dataclasses: as tuples both would be () and compare
+# equal.  Every rule's ``_fields`` names its fields in order.
+
 @dataclass(frozen=True)
 class Ian:
-    pass
+    _fields = ()
 
 
 @dataclass(frozen=True)
 class Gian:
-    pass
+    _fields = ()
 
 
 Rule = Union[Hyp, Ax, MP, Ian, Gian]
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     formula: Formula
     rule: Rule
 
@@ -114,9 +116,13 @@ def _introduced(f: Formula, graded: bool) -> Optional[Justified]:
     j = f.left.right if graded and isinstance(f, StrongConj) and isinstance(f.left, Implies) else f
     if not isinstance(j, Justified):
         return None
-    body = expand_sugar(j.body)
-    layer = exact_expansion(ONE, j.term, body) if graded else Justified(j.term, body)
-    return j if layer is f else None
+    return j if _layer(j.term, expand_sugar(j.body), graded) is f else None
+
+
+def _layer(term: Term, body: Formula, graded: bool) -> Formula:
+    """The expanded constant-introduction layer of ``term:body``, for an
+    expanded ``body``: ``term:{==1}body`` when ``graded``, else ``term:body``."""
+    return exact_expansion(ONE, term, body) if graded else Justified(term, body)
 
 
 def split_cs_layer(f: Formula, graded: bool):
@@ -157,8 +163,8 @@ class FiniteCS:
         return expand_sugar(f) in self._expanded
 
     def covers(self, constant: str, body: Formula, config: LogicConfig) -> bool:
-        entry = cs_entry(constant, body, config.graded_necessitation)
-        return self.contains(entry, config)
+        layer = _layer(Const(constant), expand_sugar(body), config.graded_necessitation)
+        return layer in self._expanded
 
     def __repr__(self) -> str:
         return f"FiniteCS({len(self.entries)} entries)"
@@ -240,12 +246,15 @@ def check_cs(cs: ConstantSpecification, config: LogicConfig) -> CSReport:
 # ---------------------------------------------------------------------------
 # The checker
 
-def _axiom_matches(name: str, f: Formula, config: LogicConfig) -> Optional[str]:
-    schemes = schemes_by_tag(config).get(name)
+def _axiom_matches(table, name: str, f: Formula, config: LogicConfig) -> Optional[str]:
+    """Why ``f`` is not an instance of the scheme tagged ``name`` in
+    ``table``, the ``schemes_by_tag(config)``; None if it is one."""
+    schemes = table.get(name)
     if schemes is None:
         return f"scheme {name!r} is not active in {config.name}"
-    if any(scheme.match(f) is not None for scheme in schemes):
-        return None
+    for scheme in schemes:
+        if scheme.match(f) is not None:
+            return None
     return f"formula is not an instance of scheme {name!r}"
 
 
@@ -255,41 +264,39 @@ def check_derivation(d: Derivation, config: LogicConfig,
     hyps = [expand_sugar(h) for h in d.hypotheses]
     if not d.steps:
         return ProofReport(ok=False, step=0, reason="derivation has no steps")
+    table = schemes_by_tag(config)
     expanded = []
-    for idx, step in enumerate(d.steps):
-        f = expand_sugar(step.formula)
-        rule = step.rule
-
-        def fail(reason: str) -> ProofReport:
-            return ProofReport(ok=False, step=idx, reason=reason)
-
-        if isinstance(rule, Hyp):
+    for idx, (formula, rule) in enumerate(d.steps):
+        f = expand_sugar(formula)
+        kind = type(rule)
+        problem = None
+        if kind is MP:
+            i, j = rule
+            imp = expanded[j] if 0 <= i < idx and 0 <= j < idx else None
+            if imp is None:
+                problem = f"MP references steps {i + 1}, {j + 1} not strictly earlier"
+            elif type(imp) is not Implies:
+                problem = f"MP major premise (step {j + 1}) is not an implication"
+            elif imp.left is not expanded[i]:
+                problem = f"MP antecedent (step {i + 1}) does not match the implication"
+            elif imp.right is not f:
+                problem = "MP conclusion differs from the implication's consequent"
+        elif kind is Ax:
+            problem = _axiom_matches(table, rule.scheme, f, config)
+        elif kind is Hyp:
             if not 0 <= rule.index < len(hyps):
-                return fail(f"hypothesis index {rule.index + 1} out of range")
-            if hyps[rule.index] != f:
-                return fail(f"formula differs from hypothesis {rule.index + 1}")
-        elif isinstance(rule, Ax):
-            problem = _axiom_matches(rule.scheme, f, config)
-            if problem:
-                return fail(problem)
-        elif isinstance(rule, MP):
-            i, j = rule.antecedent, rule.implication
-            if not (0 <= i < idx and 0 <= j < idx):
-                return fail(f"MP references steps {i + 1}, {j + 1} not strictly earlier")
-            imp = expanded[j]
-            if not isinstance(imp, Implies):
-                return fail(f"MP major premise (step {j + 1}) is not an implication")
-            if imp.left != expanded[i]:
-                return fail(f"MP antecedent (step {i + 1}) does not match the implication")
-            if imp.right != f:
-                return fail("MP conclusion differs from the implication's consequent")
-        elif isinstance(rule, (Ian, Gian)):
-            if not config.justified or isinstance(rule, Gian) != config.graded_necessitation:
-                return fail(f"rule {_RULE_WORDS[type(rule)]} is not available in {config.name}")
-            if not cs.contains(f, config):
-                return fail("formula is not in the constant specification")
+                problem = f"hypothesis index {rule.index + 1} out of range"
+            elif hyps[rule.index] is not f:
+                problem = f"formula differs from hypothesis {rule.index + 1}"
+        elif kind is Ian or kind is Gian:
+            if not config.justified or (kind is Gian) != config.graded_necessitation:
+                problem = f"rule {_RULE_WORDS[kind]} is not available in {config.name}"
+            elif not cs.contains(f, config):
+                problem = "formula is not in the constant specification"
         else:
-            return fail(f"unknown rule {rule!r}")
+            problem = f"unknown rule {rule!r}"
+        if problem:
+            return ProofReport(ok=False, step=idx, reason=problem)
         expanded.append(f)
     return ProofReport(ok=True, conclusion=d.steps[-1].formula)
 
@@ -304,17 +311,17 @@ def extract_subderivation(d: Derivation, index: int) -> Derivation:
             continue
         needed.add(i)
         rule = d.steps[i].rule
-        if isinstance(rule, MP):
-            stack.extend((rule.antecedent, rule.implication))
+        if type(rule) is MP:
+            stack += rule       # its antecedent and implication
     order = sorted(needed)
     remap = {old: new for new, old in enumerate(order)}
     steps = []
     for old in order:
         step = d.steps[old]
         rule = step.rule
-        if isinstance(rule, MP):
-            rule = MP(remap[rule.antecedent], remap[rule.implication])
-        steps.append(Step(step.formula, rule))
+        if type(rule) is MP:
+            step = Step(step.formula, MP(remap[rule.antecedent], remap[rule.implication]))
+        steps.append(step)
     return Derivation(d.hypotheses, tuple(steps))
 
 
@@ -334,6 +341,7 @@ class DerivationBuilder:
         self.hypotheses = tuple(expand_sugar(h) for h in hypotheses)
         self.steps: list = []
         self._seen: dict = {}
+        self._schemes = schemes_by_tag(config)
 
     def build(self) -> Derivation:
         return Derivation(self.hypotheses, tuple(self.steps))
@@ -356,7 +364,7 @@ class DerivationBuilder:
 
     def axiom(self, name: str, formula: Formula) -> int:
         f = expand_sugar(formula)
-        problem = _axiom_matches(name, f, self.config)
+        problem = _axiom_matches(self._schemes, name, f, self.config)
         if problem:
             raise ProofError(f"builder produced a bad axiom step: {problem}: "
                              f"{print_formula(f)}")
@@ -791,9 +799,9 @@ def format_derivation(d: Derivation) -> str:
     shared walk, so a subformula common to many steps is rendered once."""
     texts = print_many(list(d.hypotheses) + [step.formula for step in d.steps])
     lines = [f"HYP {text}\n" for text in texts[:len(d.hypotheses)]]
-    for idx, (step, text) in enumerate(zip(d.steps, texts[len(d.hypotheses):]), start=1):
-        by = _RULE_WORDS[type(step.rule)]
-        for value in vars(step.rule).values():      # the fields, in order
+    for idx, ((_, rule), text) in enumerate(zip(d.steps, texts[len(d.hypotheses):]), start=1):
+        by = _RULE_WORDS[type(rule)]
+        for value in rule if rule._fields else ():      # a tuple's fields, in order
             by += f" {value}" if type(value) is str else f" {value + 1}"
         lines.append(f"STEP {idx} {text} BY {by}\n")
     return "".join(lines) or "\n"       # no lines: one empty line
@@ -853,7 +861,7 @@ def parse_derivation(text: str, config: Optional[LogicConfig] = None) -> Derivat
             raise ProofError(f"line {lineno}: unknown rule {by!r}")
         kind = _RULES[words[0]]
         try:
-            if len(words) != 1 + len(fields(kind)):
+            if len(words) != 1 + len(kind._fields):
                 raise ValueError
             rule = kind(*(word if kind is Ax else _number(word) - 1 for word in words[1:]))
         except ValueError:

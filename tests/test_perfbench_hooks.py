@@ -5,6 +5,7 @@ these a deletion that breaks ``perfbench/run.py --trace 1`` would pass."""
 import importlib.util
 import itertools
 import sys
+from collections import Counter
 from pathlib import Path
 
 from fjl import logics, proofs
@@ -39,6 +40,37 @@ def test_wrapped_methods_exist():
     # ``spans.install`` wraps these two in place, beside the public builder methods
     assert callable(logics.Scheme.match)
     assert callable(proofs.DerivationBuilder._emit)
+
+
+def test_scheme_match_calls_reach_the_class_attribute(monkeypatch):
+    """``spans.install`` counts ``logics.scheme_match.calls`` by replacing
+    ``Scheme.match`` on the class, as here.  The kernel, the builder and
+    ``axiom_instance_of`` must each call through that attribute, or the
+    traced count reads 0.  The first 20 ``internalize`` cases of seed 5
+    make a pinned number of calls."""
+    calls = Counter()
+    match = logics.Scheme.match
+
+    def counted(self, f):
+        calls[self.name] += 1
+        return match(self, f)
+
+    monkeypatch.setattr(logics.Scheme, "match", counted)
+    bl = logics.LogicConfig.from_name("BL")
+    b = proofs.DerivationBuilder(bl)
+    b.th_one()
+    assert calls == {"BL7": 1}
+    assert proofs.check_derivation(b.build(), bl, proofs.EMPTY_CS).ok
+    assert calls == {"BL7": 2}
+    assert logics.axiom_instance_of(proofs.UNIT, bl) == "BL7"     # after BL1 to BL6
+    assert sum(calls.values()) == 10
+
+    workloads = _load("workloads")
+    api = workloads.plain_api()
+    cases = list(itertools.islice(workloads.internalize_inputs(api, 5), 20))
+    calls.clear()
+    assert all(workloads.internalize_case(api, case).verdict for case in cases)
+    assert sum(calls.values()) == 5097
 
 
 def test_check_proof_known_answers_and_step_formulas():

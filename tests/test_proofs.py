@@ -15,7 +15,7 @@ from fjl.parser import ConstantNotAllowedError, LexicalError, ParseError, parse_
 from fjl.proofs import (
     Ax, BL_THEOREMS, Derivation, DerivationBuilder, EMPTY_CS, FiniteCS, Gian,
     GRADED_THEOREMS, Hyp, Ian, MP, ProofError, ShapeError, Step, TotalCS,
-    check_cs, check_derivation, format_derivation, parse_cs, parse_derivation,
+    check_cs, check_derivation, cs_entry, format_derivation, parse_cs, parse_derivation,
     split_cs_layer, stock_derivation, strip_cs_chain,
 )
 from fjl.syntax import (
@@ -127,6 +127,21 @@ def test_ian_and_gian_availability_by_logic():
     graded_entry = GradedExact(Fraction(1), Const("c1"), body)
     d2 = Derivation((), (Step(graded_entry, Gian()),))
     assert not check_derivation(d2, BLJ, FiniteCS([graded_entry])).ok
+
+
+@settings(max_examples=100, deadline=None)
+@given(formulas, formulas, st.sampled_from(["c1", "c2"]))
+def test_finite_cs_covers_exactly_the_entries_it_contains(a, b, constant):
+    """``covers(c, B)`` builds the expanded layer of ``c:B`` itself; it must
+    agree with ``contains`` on the ``cs_entry`` layer, graded or plain,
+    whether ``B`` is written with sugar or expanded."""
+    for config in (RPLJ, BLJ):
+        graded = config.graded_necessitation
+        cs = FiniteCS([cs_entry("c1", a, graded)])
+        for body in (a, b, expand_sugar(a)):
+            expected = cs.contains(cs_entry(constant, body, graded), config)
+            assert cs.covers(constant, body, config) == expected
+        assert cs.covers("c1", a, config)
 
 
 def test_check_cs_downward_closure():

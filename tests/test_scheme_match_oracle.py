@@ -8,6 +8,15 @@ instance, a truth constant changed, or a sum ``s+t`` flipped to
 pairs fail; the matcher must give the oracle's binding, or None where
 the oracle fails, and instantiating a binding must give the oracle's
 substitution.
+
+A second family swaps, at each place of the instance where its scheme's
+pattern has a connective or a rational metavariable, the node for one of
+another class: the same children under another connective (``t:A`` as
+an implication ``t -> A``), or a proposition for the truth constant at
+every place of the metavariable.
+Such a mutant differs from an instance only in one class, so only the
+class test the matcher has at that place can reject it, and each class
+test the matcher generator writes is reached.
 """
 
 import random
@@ -18,8 +27,10 @@ from hypothesis import given, settings
 
 import scheme_match_oracle as oracle
 from fjl.generate import random_formula, random_scheme_instance, random_term, random_unit
-from fjl.logics import FMeta, LogicConfig, TMeta, active_schemes
-from fjl.syntax import App, Const, Sum, TruthConst, Var, expand_sugar
+from fjl.logics import FMeta, LogicConfig, RMeta, TMeta, active_schemes
+from fjl.syntax import (
+    App, Const, Implies, Justified, Prop, StrongConj, Sum, TruthConst, Var, expand_sugar,
+)
 
 CONFIGS = [LogicConfig.from_name(name) for name in ("BLJ", "LJ", "GJ", "PiJ", "RPLJ", "J")]
 CONFIGS.append(LogicConfig.from_name("RPLJ", extras=("jT", "jD")))
@@ -60,6 +71,31 @@ def _mutants(f, rng: random.Random) -> list:
     return out
 
 
+#: The class a node is swapped for, keeping its children.
+_SWAPS = {Implies: StrongConj, StrongConj: Implies, Justified: Implies, App: Sum, Sum: App}
+
+
+def _class_swaps(scheme, f) -> list:
+    """``f``, an instance of ``scheme``, with one node of another class at
+    each place where the pattern has a connective or a rational
+    metavariable."""
+    out, rational, stack = [], {}, [((), scheme.pattern, f)]
+    while stack:
+        path, pattern, node = stack.pop()
+        if type(pattern) is RMeta:
+            rational.setdefault(pattern.name, []).append(path)
+        elif type(pattern) in _SWAPS:
+            out.append(_replace(f, path, _SWAPS[type(pattern)](*node._nodes())))
+            stack += [(path + (k,), p, n)
+                      for k, (p, n) in enumerate(zip(pattern._nodes(), node._nodes()))]
+    for paths in rational.values():     # at every place, or an identity test rejects it
+        g = f
+        for path in paths:
+            g = _replace(g, path, Prop("p"))
+        out.append(g)
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(CONFIGS), st.integers(0, 10**6))
 def test_match_and_instantiate_agree_with_oracle(config, seed):
@@ -67,7 +103,9 @@ def test_match_and_instantiate_agree_with_oracle(config, seed):
     schemes = active_schemes(config)
     for scheme in schemes:
         instance = expand_sugar(random_scheme_instance(rng, scheme, config, rng.randint(0, 2)))
-        for f in [instance, *_mutants(instance, rng)]:
+        swaps = _class_swaps(scheme, instance)
+        assert swaps and all(scheme.match(f) is None for f in swaps)
+        for f in [instance, *_mutants(instance, rng), *swaps]:
             for candidate in schemes:
                 expected = oracle.match(candidate, f)
                 got = candidate.match(f)
